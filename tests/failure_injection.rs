@@ -228,6 +228,36 @@ fn same_fault_plan_reproduces_identical_outcomes() {
 }
 
 #[test]
+fn contribution_sent_before_death_counts_even_if_the_notice_is_drained_first() {
+    // Rank 3 contributes to the reduce and dies before its next
+    // collective. Rank 1 holds its own contribution back until it has
+    // seen rank 3's death notice. A dying rank notifies its peers in
+    // rank order, so by then the root's inbox already holds rank 3's
+    // contribution followed by its death notice, and the root drains
+    // both while it waits on rank 1 — before it reaches rank 3 in rank
+    // order. The contribution must still be summed and the reduce must
+    // succeed: rank 3 died after contributing.
+    let plan = FaultPlan::new(8)
+        .kill(3, 1)
+        .with_timeouts(Duration::from_millis(200), Duration::from_secs(5));
+    let results = run_world_faulted(4, &plan, |comm| {
+        if comm.rank() == 1 {
+            let notice = comm.recv_timeout(Src::Of(3), 99, Duration::from_secs(5));
+            assert_eq!(notice.unwrap_err(), CommError::RankDead { rank: 3 });
+        }
+        let mut g = vec![comm.rank() as f64; 2];
+        let r = comm.reduce(&mut g, ReduceOp::Sum, 0);
+        if comm.rank() == 3 {
+            // Rank 3's second collective: the plan kills it here.
+            assert_eq!(comm.barrier(), Err(CommError::Killed));
+        }
+        (r, g)
+    });
+    assert_eq!(results[0].result.0, Ok(()));
+    assert_eq!(results[0].result.1, vec![6.0, 6.0]);
+}
+
+#[test]
 fn timeout_leaves_comm_usable() {
     // After a timeout the communicator must still deliver later
     // messages correctly (no corrupted matching state).
