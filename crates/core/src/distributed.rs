@@ -1,4 +1,5 @@
-//! Distributed Hessian-free training: one master, many workers.
+//! Distributed Hessian-free training: one master, many workers, or a
+//! masterless ring/tree of peers.
 //!
 //! Paper Section IV: "worker processes distributed over a compute
 //! cluster perform data-parallel computation of gradients and
@@ -8,9 +9,20 @@
 //! MPI. The master/worker architecture … is a simple one-layer
 //! architecture, with one master and many workers."
 //!
-//! The master implements [`HfProblem`] over message passing, so the
-//! *identical* [`crate::optimizer::HfOptimizer`] drives both serial
-//! and distributed training — the parity tests exploit this.
+//! Every data rank runs the crate's shard engine, which computes its
+//! shard's raw `(Σ, frames)` partial sums; what differs between the
+//! modes is only how the partials are aggregated:
+//!
+//! - **Master** (the paper's architecture): rank 0's `MasterProblem`
+//!   broadcasts a command header, and each `worker_loop` command arm
+//!   is one engine call followed by its reduce(s) to rank 0.
+//! - **Ring / tree** (masterless): every peer's `DecentralProblem`
+//!   calls its own engine and allreduces.
+//!
+//! Both aggregators implement [`HfProblem`] through one fault latch,
+//! so the *identical* [`crate::optimizer::HfOptimizer`] drives serial
+//! and distributed training — the parity tests exploit this — and one
+//! outer loop and one world driver serve both modes.
 //!
 //! Protocol (fan-out is `bcast` from rank 0, fan-in `reduce` to rank
 //! 0, matching the paper's move from sockets to MPI collectives in
@@ -34,45 +46,42 @@
 //! # Fault tolerance
 //!
 //! Under [`train_distributed_faulted`] the communicator runs with a
-//! [`FaultPlan`]: collectives report a failed worker as
-//! [`CommError::RankDead`] instead of hanging. The master then
-//! acknowledges the death, re-partitions the dead worker's shard onto
-//! the survivors (same LPT strategy as start-up, replayed via
-//! `LOAD_DATA`), restores θ from the last periodic snapshot, and
+//! [`FaultPlan`]: collectives report a failed rank as
+//! [`CommError::RankDead`] instead of hanging. The fault latch turns
+//! the rest of the step into degraded no-ops, and the outer loop runs
+//! the mode's recovery step, restores θ from the last snapshot, and
 //! resumes the Hessian-free iteration from there. Because the sample
 //! seeds are a pure function of the iteration index, a replay from
 //! iteration *k* recomputes exactly what an undisturbed run over the
 //! re-sharded data would have, so recovery is bit-deterministic given
-//! the same plan.
+//! the same plan. Only the recovery step is mode-specific:
 //!
-//! The masterless modes recover without a standing coordinator: the
-//! timed ring/tree hops surface the failure on every survivor, the
-//! survivors run a membership-agreement round coordinated by the
-//! lowest live rank (`TAG_RECOVER_REPORT` / `TAG_RECOVER_AGREE`),
-//! re-stitch the ring/tree over the agreed survivor set, replay the
-//! dead rank's shard through the same LPT partitioner, and rewind
-//! their replicated optimizers to the last in-memory snapshot — the
-//! same bit-deterministic contract as master-mode recovery.
+//! - The master acknowledges the death, re-partitions the dead
+//!   worker's shard onto the survivors (same LPT strategy as
+//!   start-up, replayed via `LOAD_DATA`), and restores θ from its
+//!   checkpoint.
+//! - The masterless survivors run a membership-agreement round
+//!   coordinated by the lowest live rank (`TAG_RECOVER_REPORT` /
+//!   `TAG_RECOVER_AGREE`), re-stitch the ring/tree over the agreed
+//!   survivor set, replay the dead rank's shard through the same LPT
+//!   partitioner, and rewind their replicated optimizers to the last
+//!   in-memory snapshot.
 
 use crate::config::HfConfig;
+use crate::engine::{heldout_mean, per_frame, ShardEngine};
 use crate::optimizer::{HfOptimizer, IterStats};
-use crate::problem::{sample_utterances, HeldoutEval, HfProblem, Objective};
+use crate::problem::{HeldoutEval, HfProblem, Objective};
 use crate::stopping::StopState;
-use pdnn_dnn::backprop::backprop_ws;
-use pdnn_dnn::gauss_newton::{gn_product_ws, Curvature};
-use pdnn_dnn::loss::{cross_entropy, cross_entropy_loss_only, softmax_rows};
-use pdnn_dnn::network::{ForwardCache, Network};
-use pdnn_dnn::packed::{PackedActivations, PackedWeights};
-use pdnn_dnn::sequence::mmi_batch;
+use pdnn_dnn::network::Network;
 use pdnn_mpisim::{
-    Comm, CommError, CommEvent, CommTrace, FaultPlan, HbViolation, Payload, RankOutcome, ReduceOp,
-    Src, WireCodec,
+    CollElem, Comm, CommError, CommEvent, CommTrace, FaultPlan, HbViolation, Payload, RankOutcome,
+    ReduceOp, Src, WireCodec,
 };
 use pdnn_obs::{InMemoryRecorder, Recorder, RecorderExt, SpanKind, Telemetry};
 use pdnn_speech::{partition, Corpus, Shard, Strategy};
 use pdnn_tensor::gemm::GemmContext;
-use pdnn_tensor::{Matrix, Workspace};
 use pdnn_util::{Error, PhaseTimer};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -269,25 +278,264 @@ fn fault_error(fault: TrainFault) -> Error {
     }
 }
 
-/// Master-side implementation of [`HfProblem`] over the communicator.
-struct MasterProblem<'a> {
-    comm: &'a mut Comm,
+/// Check a reduced frame count: zero total frames means every rank
+/// contributed an empty batch, so the mean is undefined.
+fn total_frames(frames: f64, phase: &'static str) -> Result<f64, TrainFault> {
+    if frames <= 0.0 {
+        return Err(TrainFault::ZeroFrames { phase });
+    }
+    Ok(frames)
+}
+
+/// Mean loss and gradient from a reduced `[Σloss, frames]` and Σgrad.
+fn gradient_mean(meta: &[f64], mut grad: Vec<f32>) -> Result<(f64, Vec<f32>), TrainFault> {
+    let frames = total_frames(meta[1], "gradient")?;
+    per_frame(&mut grad, frames);
+    Ok((meta[0] / frames, grad))
+}
+
+/// Held-out means from a reduced `[Σloss, Σcorrect, frames]`.
+fn heldout_reduced(meta: &[f64]) -> Result<HeldoutEval, TrainFault> {
+    total_frames(meta[2], "heldout")?;
+    Ok(heldout_mean(meta))
+}
+
+/// The [`HfProblem`] operations, for the per-mode span table.
+#[derive(Clone, Copy)]
+enum Op {
+    SetTheta,
+    Gradient,
+    Sample,
+    Curvature,
+    Heldout,
+}
+
+/// The mode-specific half of a distributed [`HfProblem`]: how this
+/// rank produces each global mean — master mode commands the workers
+/// and reduces, the masterless modes run their own shard engine and
+/// allreduce — and how it recovers from a dead rank. [`Latched`] adds
+/// the fault latch both modes share.
+trait Aggregator {
+    /// Span opened around every call of `op`, faulted or not.
+    fn span(op: Op) -> Option<(&'static str, SpanKind)>;
+    fn try_set_theta(&mut self, theta: &[f32]) -> Result<(), TrainFault>;
+    fn try_gradient(&mut self) -> Result<(f64, Vec<f32>), TrainFault>;
+    fn try_sample(&mut self, seed: u64, fraction: f64) -> Result<(), TrainFault>;
+    fn try_gn_product(&mut self, v: &[f32]) -> Result<Vec<f32>, TrainFault>;
+    fn try_fisher(&mut self) -> Result<Vec<f32>, TrainFault>;
+    fn try_heldout(&mut self, theta: &[f32]) -> Result<HeldoutEval, TrainFault>;
+    /// The recovery step after `rank` died mid-step: bring the
+    /// survivors to an agreed membership and data assignment, and
+    /// return the θ to rewind to.
+    fn recover(&mut self, rank: usize, snap: &Snapshot) -> Result<Vec<f32>, Error>;
+}
+
+/// A distributed rank's [`HfProblem`]: an [`Aggregator`] behind the
+/// fault latch. The first fault poisons the problem: every later
+/// operation returns a degraded value (NaN losses, zero vectors)
+/// without communicating, until the outer loop takes the fault and
+/// recovers or aborts.
+struct Latched<A> {
+    agg: A,
     rec: Arc<InMemoryRecorder>,
     theta: Vec<f32>,
     train_frames: u64,
-    /// Per-worker corpus utterance ids currently assigned (training) —
-    /// the recovery ledger for re-sharding a dead worker's data.
-    train_assign: Vec<Vec<u64>>,
-    /// Per-worker corpus utterance ids currently assigned (held-out).
-    held_assign: Vec<Vec<u64>>,
-    /// Frame count of every corpus utterance, for LPT re-partition.
-    utt_frames: Vec<usize>,
-    strategy: Strategy,
-    /// First unhandled fault; poisons the problem until taken.
+    /// First unhandled fault.
     fault: Option<TrainFault>,
     /// Without a fault plan a communication error is a harness bug:
     /// fail loudly instead of attempting recovery.
     strict: bool,
+}
+
+impl<A: Aggregator> Latched<A> {
+    fn new(
+        agg: A,
+        rec: Arc<InMemoryRecorder>,
+        theta: Vec<f32>,
+        train_frames: u64,
+        strict: bool,
+    ) -> Self {
+        Latched {
+            agg,
+            rec,
+            theta,
+            train_frames,
+            fault: None,
+            strict,
+        }
+    }
+
+    /// Run `op` unless poisoned. A failure is recorded and poisons the
+    /// problem (the first fault wins: later ones would be consequences
+    /// of the degraded values); the caller then gets `degraded`.
+    fn latched<T>(
+        &mut self,
+        op: Op,
+        degraded: T,
+        f: impl FnOnce(&mut A) -> Result<T, TrainFault>,
+    ) -> T {
+        let rec = self.rec.clone();
+        let _span = A::span(op).map(|(name, kind)| rec.span(name, kind));
+        if self.fault.is_some() {
+            return degraded;
+        }
+        let fault = match f(&mut self.agg) {
+            Ok(value) => return value,
+            Err(fault) => fault,
+        };
+        match &fault {
+            TrainFault::Comm(e) => {
+                if self.strict {
+                    // pdnn-lint: allow(l3-no-unwrap): without a fault plan a communication error means the simulated world itself is broken; recovery would mask the harness bug
+                    panic!("distributed protocol failure: {e}");
+                }
+                rec.event("comm_fault", vec![("error".into(), e.to_string().into())]);
+            }
+            TrainFault::ZeroFrames { phase } => {
+                rec.event("zero_frames", vec![("phase".into(), (*phase).into())]);
+            }
+        }
+        self.fault = Some(fault);
+        degraded
+    }
+}
+
+impl<A: Aggregator> HfProblem for Latched<A> {
+    fn num_params(&self) -> usize {
+        self.theta.len()
+    }
+
+    fn theta(&self) -> Vec<f32> {
+        self.theta.clone()
+    }
+
+    fn set_theta(&mut self, theta: &[f32]) {
+        self.theta = theta.to_vec();
+        self.latched(Op::SetTheta, (), |a| a.try_set_theta(theta));
+    }
+
+    fn gradient(&mut self) -> (f64, Vec<f32>) {
+        let degraded = (f64::NAN, vec![0.0f32; self.theta.len()]);
+        self.latched(Op::Gradient, degraded, A::try_gradient)
+    }
+
+    fn sample_curvature(&mut self, seed: u64, fraction: f64) {
+        self.latched(Op::Sample, (), |a| a.try_sample(seed, fraction));
+    }
+
+    fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
+        self.latched(Op::Curvature, vec![0.0f32; v.len()], |a| {
+            a.try_gn_product(v)
+        })
+    }
+
+    fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
+        self.latched(Op::Curvature, None, |a| a.try_fisher().map(Some))
+    }
+
+    fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
+        let degraded = HeldoutEval {
+            loss: f64::NAN,
+            accuracy: f64::NAN,
+            frames: 0,
+        };
+        self.latched(Op::Heldout, degraded, |a| a.try_heldout(theta))
+    }
+
+    fn train_frames(&self) -> u64 {
+        self.train_frames
+    }
+}
+
+/// Which corpus utterances each data slot holds (worker index in
+/// master mode, rank in the masterless modes), kept for re-sharding a
+/// dead slot's data. Ids are `u64`, the wire format of
+/// `TAG_LOAD_DATA`.
+#[derive(Clone)]
+struct Ledger {
+    train: Vec<Vec<u64>>,
+    held: Vec<Vec<u64>>,
+    /// Frame count of every corpus utterance, for LPT re-partition.
+    utt_frames: Vec<usize>,
+    strategy: Strategy,
+}
+
+impl Ledger {
+    /// The start-up assignment over `config.workers` slots: split off
+    /// the held-out utterances, then partition both sets by frame
+    /// counts (the paper's equal-data objective).
+    fn new(corpus: &Corpus, config: &DistributedConfig) -> Self {
+        let utt_frames: Vec<usize> = corpus.utterances().iter().map(|u| u.frames()).collect();
+        let (train_ids, held_ids) = corpus.split_heldout(config.heldout_frac);
+        let assign = |ids: &[usize]| -> Vec<Vec<u64>> {
+            let lens: Vec<usize> = ids.iter().map(|&i| utt_frames[i]).collect();
+            partition(&lens, config.workers, config.strategy)
+                .iter()
+                .map(|part| part.iter().map(|&pos| ids[pos] as u64).collect())
+                .collect()
+        };
+        Ledger {
+            train: assign(&train_ids),
+            held: assign(&held_ids),
+            utt_frames,
+            strategy: config.strategy,
+        }
+    }
+
+    /// Total training frames over every slot.
+    fn train_frames(&self) -> u64 {
+        let frames = |id: &u64| self.utt_frames[*id as usize] as u64;
+        self.train.iter().flatten().map(frames).sum()
+    }
+
+    /// Slot `slot`'s training and held-out shards.
+    fn shards(&self, corpus: &Corpus, slot: usize) -> (Shard, Shard) {
+        let ids = |v: &[u64]| -> Vec<usize> { v.iter().map(|&id| id as usize).collect() };
+        (
+            corpus.shard(&ids(&self.train[slot])),
+            corpus.shard(&ids(&self.held[slot])),
+        )
+    }
+
+    /// Re-partition the dead slot's utterances onto the `live` slots
+    /// with the start-up strategy, add them to the ledger, and return
+    /// each live slot's extra `(train, held)` ids in `live` order.
+    fn reassign(&mut self, dead: usize, live: &[usize]) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let orphan_train = std::mem::take(&mut self.train[dead]);
+        let orphan_held = std::mem::take(&mut self.held[dead]);
+        let split = |orphans: &[u64]| -> Vec<Vec<u64>> {
+            let lens: Vec<usize> = orphans
+                .iter()
+                .map(|&id| self.utt_frames[id as usize])
+                .collect();
+            partition(&lens, live.len(), self.strategy)
+                .iter()
+                .map(|part| part.iter().map(|&p| orphans[p]).collect())
+                .collect()
+        };
+        let extra: Vec<(Vec<u64>, Vec<u64>)> = split(&orphan_train)
+            .into_iter()
+            .zip(split(&orphan_held))
+            .collect();
+        for (&slot, (t, h)) in live.iter().zip(&extra) {
+            self.train[slot].extend(t);
+            self.held[slot].extend(h);
+        }
+        extra
+    }
+}
+
+/// Master-mode aggregator on rank 0: every operation broadcasts a
+/// command header to the workers and reduces their partials.
+struct MasterProblem<'a> {
+    comm: &'a mut Comm,
+    /// Dimension of θ.
+    params: usize,
+    /// Per-worker assignments: the recovery ledger for re-sharding a
+    /// dead worker's data.
+    ledger: Ledger,
+    /// Where snapshots are persisted, if anywhere.
+    checkpoint: Option<&'a Path>,
 }
 
 impl MasterProblem<'_> {
@@ -296,40 +544,41 @@ impl MasterProblem<'_> {
         self.comm.bcast(&mut buf, 0)
     }
 
-    fn poisoned(&self) -> bool {
-        self.fault.is_some()
-    }
-
-    /// Record a fault and poison the problem. The first fault wins:
-    /// later ones are consequences of the degraded values the
-    /// short-circuiting methods return.
-    fn on_fault(&mut self, fault: TrainFault) {
-        match &fault {
-            TrainFault::Comm(e) => {
-                if self.strict {
-                    // pdnn-lint: allow(l3-no-unwrap): without a fault plan a communication error means the simulated world itself is broken; recovery would mask the harness bug
-                    panic!("distributed protocol failure: {e}");
-                }
-                self.rec
-                    .event("comm_fault", vec![("error".into(), e.to_string().into())]);
-            }
-            TrainFault::ZeroFrames { phase } => {
-                self.rec
-                    .event("zero_frames", vec![("phase".into(), (*phase).into())]);
-            }
+    /// Re-partition a dead worker's utterances onto the survivors
+    /// (same LPT strategy as start-up) and replay the assignments via
+    /// `LOAD_DATA`. The caller has already acknowledged the death, so
+    /// the command broadcast reaches exactly the live workers.
+    fn try_redistribute(&mut self, dead: usize) -> Result<(), TrainFault> {
+        let live: Vec<usize> = (0..self.ledger.train.len())
+            .filter(|&w| !self.comm.is_dead(w + 1))
+            .collect();
+        let extra = self.ledger.reassign(dead, &live);
+        self.command(vec![CMD_LOAD_DATA])
+            .map_err(TrainFault::Comm)?;
+        for (&w, (t, h)) in live.iter().zip(extra) {
+            let s1 = self.comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(t));
+            let s2 = self.comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(h));
+            s1.and(s2).map_err(TrainFault::Comm)?;
         }
-        if self.fault.is_none() {
-            self.fault = Some(fault);
-        }
+        Ok(())
+    }
+}
+
+impl Aggregator for MasterProblem<'_> {
+    fn span(op: Op) -> Option<(&'static str, SpanKind)> {
+        let name = match op {
+            Op::SetTheta => "sync_weights_master",
+            Op::Gradient => "gradient_reduce",
+            Op::Sample => "sample_curvature",
+            Op::Curvature => "curvature_reduce",
+            Op::Heldout => "heldout_reduce",
+        };
+        Some((name, SpanKind::CommCollective))
     }
 
-    fn take_fault(&mut self) -> Option<TrainFault> {
-        self.fault.take()
-    }
-
-    fn try_set_theta(&mut self) -> Result<(), TrainFault> {
+    fn try_set_theta(&mut self, theta: &[f32]) -> Result<(), TrainFault> {
         let c = self.command(vec![CMD_SET_THETA]);
-        let mut buf = self.theta.clone();
+        let mut buf = theta.to_vec();
         let b = self.comm.bcast(&mut buf, 0);
         c.and(b).map_err(TrainFault::Comm)
     }
@@ -339,18 +588,12 @@ impl MasterProblem<'_> {
         // error (`Result::and` keeps the first), so master and workers
         // never skew even when an op in the middle fails.
         let c = self.command(vec![CMD_GRADIENT]);
-        let mut grad = vec![0.0f32; self.theta.len()];
+        let mut grad = vec![0.0f32; self.params];
         let r1 = self.comm.reduce(&mut grad, ReduceOp::Sum, 0);
         let mut meta = vec![0.0f64; 2];
         let r2 = self.comm.reduce(&mut meta, ReduceOp::Sum, 0);
         c.and(r1).and(r2).map_err(TrainFault::Comm)?;
-        if meta[1] <= 0.0 {
-            return Err(TrainFault::ZeroFrames { phase: "gradient" });
-        }
-        let frames = meta[1];
-        let inv = (1.0 / frames) as f32;
-        pdnn_tensor::blas1::scal(inv, &mut grad);
-        Ok((meta[0] / frames, grad))
+        gradient_mean(&meta, grad)
     }
 
     fn try_sample(&mut self, seed: u64, fraction: f64) -> Result<(), TrainFault> {
@@ -367,27 +610,18 @@ impl MasterProblem<'_> {
         let mut meta = vec![0.0f64; 1];
         let r2 = self.comm.reduce(&mut meta, ReduceOp::Sum, 0);
         c.and(b).and(r1).and(r2).map_err(TrainFault::Comm)?;
-        if meta[0] <= 0.0 {
-            return Err(TrainFault::ZeroFrames {
-                phase: "gn_product",
-            });
-        }
-        let inv = (1.0 / meta[0]) as f32;
-        pdnn_tensor::blas1::scal(inv, &mut gv);
+        per_frame(&mut gv, total_frames(meta[0], "gn_product")?);
         Ok(gv)
     }
 
     fn try_fisher(&mut self) -> Result<Vec<f32>, TrainFault> {
         let c = self.command(vec![CMD_FISHER]);
-        let mut diag = vec![0.0f32; self.theta.len()];
+        let mut diag = vec![0.0f32; self.params];
         let r1 = self.comm.reduce(&mut diag, ReduceOp::Sum, 0);
         let mut meta = vec![0.0f64; 1];
         let r2 = self.comm.reduce(&mut meta, ReduceOp::Sum, 0);
         c.and(r1).and(r2).map_err(TrainFault::Comm)?;
-        if meta[0] <= 0.0 {
-            return Err(TrainFault::ZeroFrames { phase: "fisher" });
-        }
-        pdnn_tensor::blas1::scal((1.0 / meta[0]) as f32, &mut diag);
+        per_frame(&mut diag, total_frames(meta[0], "fisher")?);
         Ok(diag)
     }
 
@@ -398,284 +632,37 @@ impl MasterProblem<'_> {
         let mut meta = vec![0.0f64; 3];
         let r = self.comm.reduce(&mut meta, ReduceOp::Sum, 0);
         c.and(b).and(r).map_err(TrainFault::Comm)?;
-        if meta[2] <= 0.0 {
-            return Err(TrainFault::ZeroFrames { phase: "heldout" });
-        }
-        let frames = meta[2];
-        Ok(HeldoutEval {
-            loss: meta[0] / frames,
-            accuracy: meta[1] / frames,
-            frames: meta[2] as u64,
-        })
+        heldout_reduced(&meta)
     }
 
-    /// Re-partition a dead worker's utterances onto the survivors
-    /// (same LPT strategy as start-up) and replay the assignments via
-    /// `LOAD_DATA`. The caller has already acknowledged the death, so
-    /// the command broadcast reaches exactly the live workers.
-    fn try_redistribute(&mut self, dead: usize) -> Result<(), TrainFault> {
-        let orphan_train = std::mem::take(&mut self.train_assign[dead]);
-        let orphan_held = std::mem::take(&mut self.held_assign[dead]);
-        let live: Vec<usize> = (0..self.train_assign.len())
-            .filter(|&w| !self.comm.is_dead(w + 1))
-            .collect();
-        let t_lens: Vec<usize> = orphan_train
-            .iter()
-            .map(|&id| self.utt_frames[id as usize])
-            .collect();
-        let t_parts = partition(&t_lens, live.len(), self.strategy);
-        let h_lens: Vec<usize> = orphan_held
-            .iter()
-            .map(|&id| self.utt_frames[id as usize])
-            .collect();
-        let h_parts = partition(&h_lens, live.len(), self.strategy);
-        self.command(vec![CMD_LOAD_DATA])
-            .map_err(TrainFault::Comm)?;
-        for (i, &w) in live.iter().enumerate() {
-            let t: Vec<u64> = t_parts[i].iter().map(|&p| orphan_train[p]).collect();
-            let h: Vec<u64> = h_parts[i].iter().map(|&p| orphan_held[p]).collect();
-            let s1 = self
-                .comm
-                .send(w + 1, TAG_LOAD_DATA, Payload::U64(t.clone()));
-            let s2 = self
-                .comm
-                .send(w + 1, TAG_LOAD_DATA, Payload::U64(h.clone()));
-            s1.and(s2).map_err(TrainFault::Comm)?;
-            self.train_assign[w].extend(t);
-            self.held_assign[w].extend(h);
+    /// Acknowledge the death, re-shard the dead worker's data onto the
+    /// survivors, and restore θ from the checkpoint.
+    fn recover(&mut self, rank: usize, snap: &Snapshot) -> Result<Vec<f32>, Error> {
+        self.comm.ack_dead(rank);
+        let dead = self.comm.dead_ranks().len();
+        self.comm.recorder().gauge_set("dead_workers", dead as f64);
+        if dead >= self.ledger.train.len() {
+            return Err(Error::Train("no surviving workers".into()));
         }
-        Ok(())
-    }
-}
-
-impl HfProblem for MasterProblem<'_> {
-    fn num_params(&self) -> usize {
-        self.theta.len()
-    }
-
-    fn theta(&self) -> Vec<f32> {
-        self.theta.clone()
-    }
-
-    fn set_theta(&mut self, theta: &[f32]) {
-        let rec = self.rec.clone();
-        let _span = rec.span("sync_weights_master", SpanKind::CommCollective);
-        self.theta = theta.to_vec();
-        if self.poisoned() {
-            return;
-        }
-        if let Err(f) = self.try_set_theta() {
-            self.on_fault(f);
-        }
-    }
-
-    fn gradient(&mut self) -> (f64, Vec<f32>) {
-        let rec = self.rec.clone();
-        let _span = rec.span("gradient_reduce", SpanKind::CommCollective);
-        if self.poisoned() {
-            return (f64::NAN, vec![0.0f32; self.theta.len()]);
-        }
-        match self.try_gradient() {
-            Ok(out) => out,
-            Err(f) => {
-                self.on_fault(f);
-                (f64::NAN, vec![0.0f32; self.theta.len()])
-            }
-        }
-    }
-
-    fn sample_curvature(&mut self, seed: u64, fraction: f64) {
-        let rec = self.rec.clone();
-        let _span = rec.span("sample_curvature", SpanKind::CommCollective);
-        if self.poisoned() {
-            return;
-        }
-        if let Err(f) = self.try_sample(seed, fraction) {
-            self.on_fault(f);
-        }
-    }
-
-    fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
-        let rec = self.rec.clone();
-        let _span = rec.span("curvature_reduce", SpanKind::CommCollective);
-        if self.poisoned() {
-            return vec![0.0f32; v.len()];
-        }
-        match self.try_gn_product(v) {
-            Ok(gv) => gv,
-            Err(f) => {
-                self.on_fault(f);
-                vec![0.0f32; v.len()]
-            }
-        }
-    }
-
-    fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
-        let rec = self.rec.clone();
-        let _span = rec.span("curvature_reduce", SpanKind::CommCollective);
-        if self.poisoned() {
-            return None;
-        }
-        match self.try_fisher() {
-            Ok(diag) => Some(diag),
-            Err(f) => {
-                self.on_fault(f);
-                None
-            }
-        }
-    }
-
-    fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
-        let rec = self.rec.clone();
-        let _span = rec.span("heldout_reduce", SpanKind::CommCollective);
-        if self.poisoned() {
-            return HeldoutEval {
-                loss: f64::NAN,
-                accuracy: f64::NAN,
-                frames: 0,
-            };
-        }
-        match self.try_heldout(theta) {
-            Ok(eval) => eval,
-            Err(f) => {
-                self.on_fault(f);
-                HeldoutEval {
-                    loss: f64::NAN,
-                    accuracy: f64::NAN,
-                    frames: 0,
-                }
-            }
-        }
-    }
-
-    fn train_frames(&self) -> u64 {
-        self.train_frames
-    }
-}
-
-/// Worker-side cached curvature minibatch.
-struct WorkerSample {
-    x: Matrix<f32>,
-    labels: Vec<u32>,
-    utt_lens: Vec<usize>,
-    cache: ForwardCache<f32>,
-    dist: Matrix<f32>,
-    /// Prepacked activation operands, reused by every `GN_PRODUCT`
-    /// command of the solve.
-    packed_acts: PackedActivations<f32>,
-}
-
-/// Rebuild the worker's weight packs iff the network version moved.
-/// Hit/miss counters are pure functions of the command sequence, so
-/// per-rank telemetry stays byte-identical across runs.
-fn ensure_worker_packs<R: Recorder + ?Sized>(
-    packs: &mut Option<PackedWeights<f32>>,
-    net: &Network<f32>,
-    ctx: &GemmContext,
-    rec: &R,
-) {
-    match packs {
-        Some(p) if p.matches(net) => rec.counter_add("pack_cache_hit", 1),
-        _ => {
-            *packs = Some(PackedWeights::new(net, ctx));
-            rec.counter_add("pack_cache_miss", 1);
+        self.try_redistribute(rank - 1).map_err(fault_error)?;
+        match self.checkpoint {
+            Some(path) => Ok(pdnn_dnn::checkpoint::load_network(path)?.to_flat()),
+            None => Ok(snap.theta.clone()),
         }
     }
 }
 
-/// Evaluate the objective's summed loss + dlogits on a batch.
-fn eval_objective(
-    objective: &Objective,
-    cache: &ForwardCache<f32>,
-    labels: &[u32],
-    utt_lens: &[usize],
-) -> (f64, Matrix<f32>) {
-    match objective {
-        Objective::CrossEntropy => {
-            let out = cross_entropy(cache.logits(), labels);
-            (out.loss, out.dlogits)
-        }
-        Objective::Sequence(graph) => {
-            let out = mmi_batch(cache.logits(), labels, utt_lens, graph);
-            (out.loss, out.dlogits)
-        }
+/// GEMM context for one rank (the paper's OpenMP threads per rank).
+fn rank_ctx(threads: usize) -> GemmContext {
+    if threads > 1 {
+        GemmContext::threaded(threads)
+    } else {
+        GemmContext::sequential()
     }
 }
 
-/// Curvature distribution (softmax or denominator occupancies).
-fn curvature_dist(
-    objective: &Objective,
-    cache: &ForwardCache<f32>,
-    labels: &[u32],
-    utt_lens: &[usize],
-) -> Matrix<f32> {
-    match objective {
-        Objective::CrossEntropy => softmax_rows(cache.logits()),
-        Objective::Sequence(graph) => {
-            mmi_batch(cache.logits(), labels, utt_lens, graph).den_posteriors
-        }
-    }
-}
-
-/// Heldout loss sum + correct count under the objective.
-fn heldout_objective(
-    objective: &Objective,
-    logits: &Matrix<f32>,
-    labels: &[u32],
-    utt_lens: &[usize],
-) -> (f64, usize) {
-    match objective {
-        Objective::CrossEntropy => cross_entropy_loss_only(logits, labels),
-        Objective::Sequence(graph) => {
-            let out = mmi_batch(logits, labels, utt_lens, graph);
-            let preds = logits.row_argmax();
-            let correct = preds
-                .iter()
-                .zip(labels.iter())
-                .filter(|(&p, &l)| p as u32 == l)
-                .count();
-            (out.loss, correct)
-        }
-    }
-}
-
-/// Extract a curvature sample from a worker's local shard.
-fn draw_sample(
-    train: &Shard,
-    net: &Network<f32>,
-    ctx: &GemmContext,
-    objective: &Objective,
-    seed: u64,
-    fraction: f64,
-    rank: usize,
-) -> Option<WorkerSample> {
-    if train.utt_lens.is_empty() {
-        return None;
-    }
-    // Per-rank stream: the overall sample is the union of per-worker
-    // samples, each a `fraction` of the local utterances.
-    let rank_seed = seed ^ (rank as u64).wrapping_mul(0xA24B_AED4_963E_E407);
-    let ids = sample_utterances(&train.utt_lens, fraction, rank_seed);
-    let (x, labels, utt_lens) = crate::problem::extract_utterances(train, &ids);
-    if x.rows() == 0 {
-        return None;
-    }
-    // The cache outlives this call (it backs every GN_PRODUCT of the
-    // solve), so it is forwarded outside the arena.
-    let cache = net.forward(ctx, &x);
-    let dist = curvature_dist(objective, &cache, &labels, &utt_lens);
-    let packed_acts = PackedActivations::new(&cache, ctx);
-    Some(WorkerSample {
-        x,
-        labels,
-        utt_lens,
-        cache,
-        dist,
-        packed_acts,
-    })
-}
-
-/// Run the worker command loop until `SHUTDOWN`.
+/// Run the worker command loop until `SHUTDOWN`: each command arm is
+/// one shard-engine call followed by the command's reduce(s).
 ///
 /// All phase accounting goes through the communicator's `pdnn_obs`
 /// recorder; the caller collects it from [`RankOutcome::telemetry`].
@@ -686,15 +673,10 @@ fn worker_loop(
     comm: &mut Comm,
     corpus: &Corpus,
     objective: &Objective,
-    dims: &[usize],
+    net0: &Network<f32>,
     threads: usize,
 ) -> Result<(), CommError> {
     let rec = comm.recorder().clone();
-    let ctx = if threads > 1 {
-        GemmContext::threaded(threads)
-    } else {
-        GemmContext::sequential()
-    };
 
     // load_data: receive this worker's utterance assignments. The
     // typed receive surfaces a tag/kind-mismatched sender as a
@@ -712,20 +694,16 @@ fn worker_loop(
         .into_iter()
         .map(|v| v as usize)
         .collect();
-    let mut train = corpus.shard(&train_ids);
-    let mut heldout = corpus.shard(&held_ids);
+    // Weights arrive via SET_THETA before any compute command.
+    let mut engine = ShardEngine::new(
+        net0.clone(),
+        rank_ctx(threads),
+        corpus.shard(&train_ids),
+        corpus.shard(&held_ids),
+        objective.clone(),
+        rec.clone(),
+    );
     drop(load_span);
-
-    let mut net: Network<f32> = {
-        // Architecture comes from dims; weights arrive via SET_THETA
-        // before any compute command, so the init here is irrelevant.
-        let mut rng = pdnn_util::Prng::new(0);
-        Network::new(dims, pdnn_dnn::Activation::Sigmoid, &mut rng)
-    };
-    let mut scratch = net.clone();
-    let mut sample: Option<WorkerSample> = None;
-    let mut ws: Workspace<f32> = Workspace::new();
-    let mut packs: Option<PackedWeights<f32>> = None;
 
     loop {
         let mut header = vec![0u64; 1];
@@ -737,128 +715,58 @@ fn worker_loop(
                 comm.bcast(&mut theta, 0)?;
                 {
                     let _s = rec.span("sync_weights_worker", SpanKind::MemoryBound);
-                    // Bumps the network version: the next compute
-                    // command repacks the weights (pack_cache_miss).
-                    net.set_flat(&theta);
+                    engine.set_theta(&theta);
                 }
-                if let Some(s) = sample.take() {
-                    s.cache.give_back(&mut ws);
-                    ws.give_matrix(s.x);
-                    ws.give_matrix(s.dist);
-                }
-                ws.give_vec(theta);
+                engine.give_back(theta);
             }
             CMD_GRADIENT => {
-                let (loss_sum, mut grad) = {
+                let (loss_sum, mut grad, frames) = {
                     let _s = rec.span("gradient_loss", SpanKind::DenseCompute);
-                    if train.frames() == 0 {
-                        (0.0, vec![0.0f32; net.num_params()])
-                    } else {
-                        ensure_worker_packs(&mut packs, &net, &ctx, rec.as_ref());
-                        let cache = net.forward_ws(&ctx, &train.x, packs.as_ref(), &mut ws);
-                        let (loss, dlogits) =
-                            eval_objective(objective, &cache, &train.labels, &train.utt_lens);
-                        let grad =
-                            backprop_ws(&net, &ctx, &cache, &dlogits, packs.as_ref(), &mut ws);
-                        ws.give_matrix(dlogits);
-                        cache.give_back(&mut ws);
-                        (loss, grad)
-                    }
+                    engine.gradient()
                 };
                 comm.reduce(&mut grad, ReduceOp::Sum, 0)?;
-                let mut meta = vec![loss_sum, train.frames() as f64];
+                let mut meta = vec![loss_sum, frames as f64];
                 comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
-                ws.give_vec(grad);
+                engine.give_back(grad);
             }
             CMD_SAMPLE => {
                 assert_eq!(header.len(), 3, "SAMPLE header must carry seed+fraction");
-                let seed = header[1];
-                let fraction = f64::from_bits(header[2]);
-                if let Some(s) = sample.take() {
-                    s.cache.give_back(&mut ws);
-                    ws.give_matrix(s.x);
-                    ws.give_matrix(s.dist);
-                }
-                sample = {
-                    let _s = rec.span("worker_curvature_sample", SpanKind::DenseCompute);
-                    draw_sample(&train, &net, &ctx, objective, seed, fraction, comm.rank())
-                };
+                let _s = rec.span("worker_curvature_sample", SpanKind::DenseCompute);
+                engine.sample(header[1], f64::from_bits(header[2]), comm.rank());
             }
             CMD_GN => {
                 let mut v: Vec<f32> = Vec::new();
                 comm.bcast(&mut v, 0)?;
                 let (mut gv, frames) = {
                     let _s = rec.span("worker_curvature_product", SpanKind::DenseCompute);
-                    match &sample {
-                        Some(s) => {
-                            ensure_worker_packs(&mut packs, &net, &ctx, rec.as_ref());
-                            let gv = gn_product_ws(
-                                &net,
-                                &ctx,
-                                &s.cache,
-                                Curvature::Fisher(&s.dist),
-                                &v,
-                                packs.as_ref(),
-                                Some(&s.packed_acts),
-                                &mut ws,
-                            );
-                            (gv, s.x.rows() as f64)
-                        }
-                        None => (vec![0.0f32; net.num_params()], 0.0),
-                    }
+                    engine.gn_product(&v)
                 };
                 comm.reduce(&mut gv, ReduceOp::Sum, 0)?;
-                let mut meta = vec![frames];
+                let mut meta = vec![frames as f64];
                 comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
-                ws.give_vec(gv);
-                ws.give_vec(v);
-                let stats = ws.stats();
-                rec.gauge_set("arena_bytes_reused", stats.bytes_reused as f64);
-                rec.gauge_set("arena_high_water_bytes", stats.high_water_bytes as f64);
+                engine.give_back(gv);
+                engine.give_back(v);
+                engine.record_arena();
             }
             CMD_FISHER => {
                 let (mut diag, frames) = {
                     let _s = rec.span("worker_curvature_product", SpanKind::DenseCompute);
-                    match &sample {
-                        Some(s) => {
-                            let (_, dlogits) =
-                                eval_objective(objective, &s.cache, &s.labels, &s.utt_lens);
-                            let diag = pdnn_dnn::fisher::empirical_fisher_diagonal(
-                                &net, &ctx, &s.cache, &dlogits,
-                            );
-                            (diag, s.x.rows() as f64)
-                        }
-                        None => (vec![0.0f32; net.num_params()], 0.0),
-                    }
+                    engine.fisher_diagonal()
                 };
                 comm.reduce(&mut diag, ReduceOp::Sum, 0)?;
-                let mut meta = vec![frames];
+                let mut meta = vec![frames as f64];
                 comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
             }
             CMD_HELDOUT => {
                 let mut trial: Vec<f32> = Vec::new();
                 comm.bcast(&mut trial, 0)?;
-                let mut meta = {
+                let (loss_sum, correct, frames) = {
                     let _s = rec.span("eval_heldout", SpanKind::DenseCompute);
-                    if heldout.frames() == 0 {
-                        vec![0.0f64, 0.0, 0.0]
-                    } else {
-                        // Trial weights change every call: no packs,
-                        // but the arena recycles activation scratch.
-                        scratch.set_flat(&trial);
-                        let logits = scratch.logits_ws(&ctx, &heldout.x, None, &mut ws);
-                        let (loss_sum, correct) = heldout_objective(
-                            objective,
-                            &logits,
-                            &heldout.labels,
-                            &heldout.utt_lens,
-                        );
-                        ws.give_matrix(logits);
-                        vec![loss_sum, correct as f64, heldout.frames() as f64]
-                    }
+                    engine.heldout(&trial)
                 };
+                let mut meta = vec![loss_sum, correct as f64, frames as f64];
                 comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
-                ws.give_vec(trial);
+                engine.give_back(trial);
             }
             CMD_LOAD_DATA => {
                 // A peer died: the master re-partitioned its shard and
@@ -874,14 +782,7 @@ fn worker_loop(
                     comm.recv_vec_timeout::<u64>(Src::Of(0), TAG_LOAD_DATA, timeout)?;
                 train_ids.extend(extra_train.into_iter().map(|v| v as usize));
                 held_ids.extend(extra_held.into_iter().map(|v| v as usize));
-                train = corpus.shard(&train_ids);
-                heldout = corpus.shard(&held_ids);
-                // The cached curvature sample indexes the old shard.
-                if let Some(s) = sample.take() {
-                    s.cache.give_back(&mut ws);
-                    ws.give_matrix(s.x);
-                    ws.give_matrix(s.dist);
-                }
+                engine.reshard(corpus.shard(&train_ids), corpus.shard(&held_ids));
                 rec.counter_add("shard_reassignments", 1);
             }
             // pdnn-lint: allow(l3-no-unwrap): an unknown opcode is a protocol bug between master and worker builds, not a runtime condition to recover from
@@ -895,30 +796,19 @@ fn worker_loop(
     Ok(())
 }
 
-/// Peer-rank implementation of [`HfProblem`] for the masterless sync
-/// strategies: local compute over this rank's shard plus symmetric
-/// allreduces. No command headers, no rooted collectives, no p2p.
+/// Masterless aggregator on every peer rank of the ring/tree modes:
+/// this rank's shard engine plus symmetric allreduces. No command
+/// headers, no rooted collectives, no p2p.
 ///
-/// Every rank holds one of these and drives its own replicated
-/// [`HfOptimizer`]; because ring and tree allreduce return
-/// bit-identical results on every rank, the replicas make identical
-/// decisions and their θ vectors never diverge.
+/// Every rank drives its own replicated [`HfOptimizer`]; because ring
+/// and tree allreduce return bit-identical results on every rank, the
+/// replicas make identical decisions and their θ vectors never
+/// diverge.
 struct DecentralProblem<'a> {
     comm: &'a mut Comm,
     rec: Arc<InMemoryRecorder>,
     sync: SyncStrategy,
-    theta: Vec<f32>,
-    net: Network<f32>,
-    /// Trial-θ evaluation network (heldout probes never disturb the
-    /// packed weights of `net`).
-    scratch: Network<f32>,
-    train: Shard,
-    heldout: Shard,
-    objective: &'a Objective,
-    ctx: GemmContext,
-    ws: Workspace<f32>,
-    packs: Option<PackedWeights<f32>>,
-    sample: Option<WorkerSample>,
+    engine: ShardEngine,
     /// Global frame count of the current curvature sample, agreed by
     /// one f64 allreduce the first time the sample is used (fisher or
     /// first CG product) and reused for every later product on the
@@ -926,71 +816,23 @@ struct DecentralProblem<'a> {
     /// per-CG-step metadata chaser would be pure collective overhead.
     /// Cleared with the sample (redraw, θ update, re-shard).
     sample_frames: Option<f64>,
-    /// Global training frame count (identical on every rank).
-    train_frames: u64,
     /// Source corpus, for rebuilding shards after a re-partition.
     corpus: &'a Corpus,
-    /// Per-rank corpus utterance ids currently assigned (training).
-    /// Replicated on every rank — each survivor replays the identical
-    /// LPT re-partition locally, so no ledger owner can die.
-    train_ids: Vec<Vec<u64>>,
-    /// Per-rank corpus utterance ids currently assigned (held-out).
-    held_ids: Vec<Vec<u64>>,
-    /// Frame count of every corpus utterance, for LPT re-partition.
-    utt_frames: Vec<usize>,
-    strategy: Strategy,
-    /// First unhandled fault; poisons the problem until taken.
-    fault: Option<TrainFault>,
-    /// Without a fault plan a communication error is a harness bug:
-    /// fail loudly instead of attempting recovery.
-    strict: bool,
+    /// Per-rank assignments, replicated on every rank — each survivor
+    /// replays the identical LPT re-partition locally, so no ledger
+    /// owner can die.
+    ledger: Ledger,
+    /// Window of the membership-agreement round.
+    recover_timeout: Duration,
 }
 
 impl DecentralProblem<'_> {
     /// Sum-allreduce under the configured masterless strategy.
-    fn sync_f32(&mut self, buf: &mut [f32]) -> Result<(), CommError> {
+    fn sync<T: CollElem>(&mut self, buf: &mut [T]) -> Result<(), CommError> {
         match self.sync {
             SyncStrategy::Ring => self.comm.allreduce_ring(buf, ReduceOp::Sum),
             _ => self.comm.allreduce_tree(buf, ReduceOp::Sum),
         }
-    }
-
-    fn sync_f64(&mut self, buf: &mut [f64]) -> Result<(), CommError> {
-        match self.sync {
-            SyncStrategy::Ring => self.comm.allreduce_ring(buf, ReduceOp::Sum),
-            _ => self.comm.allreduce_tree(buf, ReduceOp::Sum),
-        }
-    }
-
-    fn poisoned(&self) -> bool {
-        self.fault.is_some()
-    }
-
-    /// Record a fault and poison the problem. The first fault wins:
-    /// later ones are consequences of the degraded values the
-    /// short-circuiting methods return.
-    fn on_fault(&mut self, fault: TrainFault) {
-        match &fault {
-            TrainFault::Comm(e) => {
-                if self.strict {
-                    // pdnn-lint: allow(l3-no-unwrap): without a fault plan a communication error means the simulated world itself is broken; recovery would mask the harness bug
-                    panic!("decentralized protocol failure: {e}");
-                }
-                self.rec
-                    .event("comm_fault", vec![("error".into(), e.to_string().into())]);
-            }
-            TrainFault::ZeroFrames { phase } => {
-                self.rec
-                    .event("zero_frames", vec![("phase".into(), (*phase).into())]);
-            }
-        }
-        if self.fault.is_none() {
-            self.fault = Some(fault);
-        }
-    }
-
-    fn take_fault(&mut self) -> Option<TrainFault> {
-        self.fault.take()
     }
 
     /// Bitmap of this rank's locally observed dead set (acknowledged
@@ -1086,12 +928,13 @@ impl DecentralProblem<'_> {
     /// same LPT strategy as start-up.
     ///
     /// Every survivor replays the identical re-partition from its
-    /// replicated assignment ledger, and the coordinator *also* ships
-    /// each survivor its extras over `TAG_LOAD_DATA` — the same wire
+    /// replicated ledger, and the coordinator *also* ships each
+    /// survivor its extras over `TAG_LOAD_DATA` — the same wire
     /// exchange as master-mode `CMD_LOAD_DATA` recovery — which
     /// doubles as a cross-check that the replicas agree on the new
     /// assignment.
-    fn recover(&mut self, timeout: Duration) -> Result<(), TrainFault> {
+    fn reshard_survivors(&mut self) -> Result<(), TrainFault> {
+        let timeout = self.recover_timeout;
         let union = self.agree_membership(timeout)?;
         let unacked = self.comm.unacked_dead();
         let newly: Vec<usize> = (0..self.comm.size())
@@ -1103,38 +946,18 @@ impl DecentralProblem<'_> {
         }
         let me = self.comm.rank();
         for &d in &newly {
-            let orphan_train = std::mem::take(&mut self.train_ids[d]);
-            let orphan_held = std::mem::take(&mut self.held_ids[d]);
             let live: Vec<usize> = (0..self.comm.size())
                 .filter(|&r| !self.comm.is_dead(r))
                 .collect();
-            let t_lens: Vec<usize> = orphan_train
-                .iter()
-                .map(|&id| self.utt_frames[id as usize])
-                .collect();
-            let t_parts = partition(&t_lens, live.len(), self.strategy);
-            let h_lens: Vec<usize> = orphan_held
-                .iter()
-                .map(|&id| self.utt_frames[id as usize])
-                .collect();
-            let h_parts = partition(&h_lens, live.len(), self.strategy);
+            let extra = self.ledger.reassign(d, &live);
             let coord = live[0];
-            let mut my_extra: (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
-            for (i, &w) in live.iter().enumerate() {
-                let t: Vec<u64> = t_parts[i].iter().map(|&p| orphan_train[p]).collect();
-                let h: Vec<u64> = h_parts[i].iter().map(|&p| orphan_held[p]).collect();
-                if me == coord && w != coord {
+            if me == coord {
+                for (&w, (t, h)) in live.iter().zip(&extra).skip(1) {
                     let s1 = self.comm.send(w, TAG_LOAD_DATA, Payload::U64(t.clone()));
                     let s2 = self.comm.send(w, TAG_LOAD_DATA, Payload::U64(h.clone()));
                     s1.and(s2).map_err(TrainFault::Comm)?;
                 }
-                if w == me {
-                    my_extra = (t.clone(), h.clone());
-                }
-                self.train_ids[w].extend(t);
-                self.held_ids[w].extend(h);
-            }
-            if me != coord {
+            } else {
                 let t = self
                     .comm
                     .recv_vec_timeout::<u64>(Src::Of(coord), TAG_LOAD_DATA, timeout)
@@ -1143,106 +966,23 @@ impl DecentralProblem<'_> {
                     .comm
                     .recv_vec_timeout::<u64>(Src::Of(coord), TAG_LOAD_DATA, timeout)
                     .map_err(TrainFault::Comm)?;
+                let mine = live.iter().position(|&w| w == me).map(|i| &extra[i]);
                 assert!(
-                    t == my_extra.0 && h == my_extra.1,
+                    mine == Some(&(t, h)),
                     "replicated re-partition diverged from the coordinator's"
                 );
             }
             self.rec.counter_add("shard_reassignments", 1);
         }
         if !newly.is_empty() {
-            // Rebuild this rank's shards from the updated ledger and
-            // drop the cached curvature sample: its activations belong
-            // to the pre-failure θ and shard.
-            let mine_t: Vec<usize> = self.train_ids[me].iter().map(|&id| id as usize).collect();
-            let mine_h: Vec<usize> = self.held_ids[me].iter().map(|&id| id as usize).collect();
-            self.train = self.corpus.shard(&mine_t);
-            self.heldout = self.corpus.shard(&mine_h);
+            // Rebuild this rank's shards from the updated ledger; the
+            // cached curvature sample belongs to the pre-failure θ and
+            // shard.
+            let (train, heldout) = self.ledger.shards(self.corpus, me);
+            self.engine.reshard(train, heldout);
             self.sample_frames = None;
-            if let Some(s) = self.sample.take() {
-                s.cache.give_back(&mut self.ws);
-                self.ws.give_matrix(s.x);
-                self.ws.give_matrix(s.dist);
-            }
         }
         Ok(())
-    }
-
-    fn try_gradient(&mut self) -> Result<(f64, Vec<f32>), TrainFault> {
-        let (loss_sum, mut grad) = {
-            let _s = self.rec.span("gradient_loss", SpanKind::DenseCompute);
-            if self.train.frames() == 0 {
-                (0.0, vec![0.0f32; self.net.num_params()])
-            } else {
-                ensure_worker_packs(&mut self.packs, &self.net, &self.ctx, self.rec.as_ref());
-                let cache = self.net.forward_ws(
-                    &self.ctx,
-                    &self.train.x,
-                    self.packs.as_ref(),
-                    &mut self.ws,
-                );
-                let (loss, dlogits) = eval_objective(
-                    self.objective,
-                    &cache,
-                    &self.train.labels,
-                    &self.train.utt_lens,
-                );
-                let grad = backprop_ws(
-                    &self.net,
-                    &self.ctx,
-                    &cache,
-                    &dlogits,
-                    self.packs.as_ref(),
-                    &mut self.ws,
-                );
-                self.ws.give_matrix(dlogits);
-                cache.give_back(&mut self.ws);
-                (loss, grad)
-            }
-        };
-        let rec = self.rec.clone();
-        let _span = rec.span("gradient_allreduce", SpanKind::CommCollective);
-        let r1 = self.sync_f32(&mut grad);
-        let mut meta = vec![loss_sum, self.train.frames() as f64];
-        let r2 = self.sync_f64(&mut meta);
-        r1.and(r2).map_err(TrainFault::Comm)?;
-        if meta[1] <= 0.0 {
-            return Err(TrainFault::ZeroFrames { phase: "gradient" });
-        }
-        let frames = meta[1];
-        pdnn_tensor::blas1::scal((1.0 / frames) as f32, &mut grad);
-        Ok((meta[0] / frames, grad))
-    }
-
-    fn try_gn_product(&mut self, v: &[f32]) -> Result<Vec<f32>, TrainFault> {
-        let (mut gv, frames) = {
-            let _s = self
-                .rec
-                .span("worker_curvature_product", SpanKind::DenseCompute);
-            match &self.sample {
-                Some(s) => {
-                    ensure_worker_packs(&mut self.packs, &self.net, &self.ctx, self.rec.as_ref());
-                    let gv = gn_product_ws(
-                        &self.net,
-                        &self.ctx,
-                        &s.cache,
-                        Curvature::Fisher(&s.dist),
-                        v,
-                        self.packs.as_ref(),
-                        Some(&s.packed_acts),
-                        &mut self.ws,
-                    );
-                    (gv, s.x.rows() as f64)
-                }
-                None => (vec![0.0f32; self.net.num_params()], 0.0),
-            }
-        };
-        let rec = self.rec.clone();
-        let _span = rec.span("curvature_allreduce", SpanKind::CommCollective);
-        self.sync_f32(&mut gv).map_err(TrainFault::Comm)?;
-        let total = self.sample_frames_total(frames, "gn_product")?;
-        pdnn_tensor::blas1::scal((1.0 / total) as f32, &mut gv);
-        Ok(gv)
     }
 
     /// Global frame count of the current curvature sample: the cached
@@ -1253,493 +993,110 @@ impl DecentralProblem<'_> {
             Some(t) => t,
             None => {
                 let mut meta = vec![local];
-                self.sync_f64(&mut meta).map_err(TrainFault::Comm)?;
+                self.sync(&mut meta).map_err(TrainFault::Comm)?;
                 self.sample_frames = Some(meta[0]);
                 meta[0]
             }
         };
-        if total <= 0.0 {
-            return Err(TrainFault::ZeroFrames { phase });
-        }
-        Ok(total)
+        total_frames(total, phase)
     }
 
-    fn try_fisher(&mut self) -> Result<Vec<f32>, TrainFault> {
-        let (mut diag, frames) = {
-            let _s = self
-                .rec
-                .span("worker_curvature_product", SpanKind::DenseCompute);
-            match &self.sample {
-                Some(s) => {
-                    let (_, dlogits) =
-                        eval_objective(self.objective, &s.cache, &s.labels, &s.utt_lens);
-                    let diag = pdnn_dnn::fisher::empirical_fisher_diagonal(
-                        &self.net, &self.ctx, &s.cache, &dlogits,
-                    );
-                    (diag, s.x.rows() as f64)
-                }
-                None => (vec![0.0f32; self.net.num_params()], 0.0),
-            }
-        };
+    /// Allreduce a curvature-sample partial `(Σ, frames)` and divide by
+    /// the sample's global frame count.
+    fn curvature_mean(
+        &mut self,
+        (mut sum, frames): (Vec<f32>, usize),
+        phase: &'static str,
+    ) -> Result<Vec<f32>, TrainFault> {
         let rec = self.rec.clone();
         let _span = rec.span("curvature_allreduce", SpanKind::CommCollective);
-        self.sync_f32(&mut diag).map_err(TrainFault::Comm)?;
-        let total = self.sample_frames_total(frames, "fisher")?;
-        pdnn_tensor::blas1::scal((1.0 / total) as f32, &mut diag);
-        Ok(diag)
-    }
-
-    fn try_heldout(&mut self, theta: &[f32]) -> Result<HeldoutEval, TrainFault> {
-        let mut meta = {
-            let _s = self.rec.span("eval_heldout", SpanKind::DenseCompute);
-            if self.heldout.frames() == 0 {
-                vec![0.0f64, 0.0, 0.0]
-            } else {
-                self.scratch.set_flat(theta);
-                let logits = self
-                    .scratch
-                    .logits_ws(&self.ctx, &self.heldout.x, None, &mut self.ws);
-                let (loss_sum, correct) = heldout_objective(
-                    self.objective,
-                    &logits,
-                    &self.heldout.labels,
-                    &self.heldout.utt_lens,
-                );
-                self.ws.give_matrix(logits);
-                vec![loss_sum, correct as f64, self.heldout.frames() as f64]
-            }
-        };
-        let rec = self.rec.clone();
-        let _span = rec.span("heldout_allreduce", SpanKind::CommCollective);
-        self.sync_f64(&mut meta).map_err(TrainFault::Comm)?;
-        if meta[2] <= 0.0 {
-            return Err(TrainFault::ZeroFrames { phase: "heldout" });
-        }
-        let frames = meta[2];
-        Ok(HeldoutEval {
-            loss: meta[0] / frames,
-            accuracy: meta[1] / frames,
-            frames: meta[2] as u64,
-        })
+        self.sync(&mut sum).map_err(TrainFault::Comm)?;
+        per_frame(&mut sum, self.sample_frames_total(frames as f64, phase)?);
+        Ok(sum)
     }
 }
 
-impl HfProblem for DecentralProblem<'_> {
-    fn num_params(&self) -> usize {
-        self.theta.len()
+impl Aggregator for DecentralProblem<'_> {
+    fn span(op: Op) -> Option<(&'static str, SpanKind)> {
+        matches!(op, Op::SetTheta).then_some(("sync_weights_replicated", SpanKind::MemoryBound))
     }
 
-    fn theta(&self) -> Vec<f32> {
-        self.theta.clone()
-    }
-
-    fn set_theta(&mut self, theta: &[f32]) {
+    fn try_set_theta(&mut self, theta: &[f32]) -> Result<(), TrainFault> {
         // Replicated state: every rank applies the identical update
         // locally. Zero communication — this is the masterless win
         // over the Master-mode θ broadcast.
+        self.engine.set_theta(theta);
+        self.sample_frames = None;
+        Ok(())
+    }
+
+    fn try_gradient(&mut self) -> Result<(f64, Vec<f32>), TrainFault> {
         let rec = self.rec.clone();
-        let _span = rec.span("sync_weights_replicated", SpanKind::MemoryBound);
-        self.theta = theta.to_vec();
-        self.net.set_flat(theta);
-        // The cached curvature sample holds activations of the old θ.
-        self.sample_frames = None;
-        if let Some(s) = self.sample.take() {
-            s.cache.give_back(&mut self.ws);
-            self.ws.give_matrix(s.x);
-            self.ws.give_matrix(s.dist);
-        }
+        let (loss_sum, mut grad, frames) = {
+            let _s = rec.span("gradient_loss", SpanKind::DenseCompute);
+            self.engine.gradient()
+        };
+        let _span = rec.span("gradient_allreduce", SpanKind::CommCollective);
+        let r1 = self.sync(&mut grad);
+        let mut meta = vec![loss_sum, frames as f64];
+        let r2 = self.sync(&mut meta);
+        r1.and(r2).map_err(TrainFault::Comm)?;
+        gradient_mean(&meta, grad)
     }
 
-    fn gradient(&mut self) -> (f64, Vec<f32>) {
-        if self.poisoned() {
-            return (f64::NAN, vec![0.0f32; self.theta.len()]);
-        }
-        match self.try_gradient() {
-            Ok(out) => out,
-            Err(f) => {
-                self.on_fault(f);
-                (f64::NAN, vec![0.0f32; self.theta.len()])
-            }
-        }
+    fn try_sample(&mut self, seed: u64, fraction: f64) -> Result<(), TrainFault> {
+        self.sample_frames = None;
+        let _s = self
+            .rec
+            .span("worker_curvature_sample", SpanKind::DenseCompute);
+        self.engine.sample(seed, fraction, self.comm.rank());
+        Ok(())
     }
 
-    fn sample_curvature(&mut self, seed: u64, fraction: f64) {
-        if self.poisoned() {
-            return;
-        }
-        self.sample_frames = None;
-        if let Some(s) = self.sample.take() {
-            s.cache.give_back(&mut self.ws);
-            self.ws.give_matrix(s.x);
-            self.ws.give_matrix(s.dist);
-        }
-        self.sample = {
+    fn try_gn_product(&mut self, v: &[f32]) -> Result<Vec<f32>, TrainFault> {
+        let partial = {
             let _s = self
                 .rec
-                .span("worker_curvature_sample", SpanKind::DenseCompute);
-            draw_sample(
-                &self.train,
-                &self.net,
-                &self.ctx,
-                self.objective,
-                seed,
-                fraction,
-                self.comm.rank(),
-            )
+                .span("worker_curvature_product", SpanKind::DenseCompute);
+            self.engine.gn_product(v)
         };
+        self.curvature_mean(partial, "gn_product")
     }
 
-    fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
-        if self.poisoned() {
-            return vec![0.0f32; v.len()];
-        }
-        match self.try_gn_product(v) {
-            Ok(gv) => gv,
-            Err(f) => {
-                self.on_fault(f);
-                vec![0.0f32; v.len()]
-            }
-        }
-    }
-
-    fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
-        if self.poisoned() {
-            return None;
-        }
-        match self.try_fisher() {
-            Ok(diag) => Some(diag),
-            Err(f) => {
-                self.on_fault(f);
-                None
-            }
-        }
-    }
-
-    fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
-        if self.poisoned() {
-            return HeldoutEval {
-                loss: f64::NAN,
-                accuracy: f64::NAN,
-                frames: 0,
-            };
-        }
-        match self.try_heldout(theta) {
-            Ok(eval) => eval,
-            Err(f) => {
-                self.on_fault(f);
-                HeldoutEval {
-                    loss: f64::NAN,
-                    accuracy: f64::NAN,
-                    frames: 0,
-                }
-            }
-        }
-    }
-
-    fn train_frames(&self) -> u64 {
-        self.train_frames
-    }
-}
-
-/// The replicated outer loop every masterless rank runs: the same
-/// [`HfOptimizer::step`] / [`StopState`] sequence as [`hf_loop`],
-/// including peer-coordinated recovery when a collective surfaces a
-/// dead rank. Snapshots are in-memory — every rank rewinds to its own
-/// replica of θ, so there is no checkpoint file to race on and
-/// nothing to ship.
-fn decentral_loop(
-    problem: &mut DecentralProblem<'_>,
-    config: &DistributedConfig,
-    rec: &Arc<InMemoryRecorder>,
-    recover_timeout: Duration,
-) -> (Result<Vec<IterStats>, Error>, usize) {
-    let hf = config.hf;
-    let mut opt = HfOptimizer::with_recorder(hf, rec.clone());
-    let mut rule = hf.stop;
-    if rule.target_loss.is_none() {
-        rule.target_loss = hf.target_heldout_loss;
-    }
-    let mut stop = StopState::new(rule);
-    let mut stats: Vec<IterStats> = Vec::with_capacity(hf.max_iters);
-    let mut snap = Snapshot {
-        iter: 0,
-        theta: problem.theta(),
-        lambda: opt.lambda(),
-    };
-    let mut recoveries = 0usize;
-    let mut iter = 0usize;
-    while iter < hf.max_iters {
-        let s = opt.step(problem, iter);
-        match problem.take_fault() {
-            None => {
-                let reason = stop.observe(s.heldout_before, s.heldout_after);
-                stats.push(s);
-                iter += 1;
-                if config.checkpoint_every > 0 && iter.is_multiple_of(config.checkpoint_every) {
-                    snap = Snapshot {
-                        iter,
-                        theta: problem.theta(),
-                        lambda: opt.lambda(),
-                    };
-                }
-                if reason.is_some() {
-                    break;
-                }
-            }
-            Some(TrainFault::Comm(CommError::RankDead { rank })) => {
-                let _span = rec.span("recovery", SpanKind::Scalar);
-                rec.event(
-                    "worker_failure",
-                    vec![
-                        ("rank".into(), (rank as u64).into()),
-                        ("iter".into(), (iter as u64).into()),
-                    ],
-                );
-                if let Err(f) = problem.recover(recover_timeout) {
-                    return (Err(fault_error(f)), recoveries);
-                }
-                rec.gauge_set("dead_workers", problem.comm.dead_ranks().len() as f64);
-                // Replicated rewind: every survivor restores its own
-                // in-memory snapshot, rebuilds the optimizer at the
-                // snapshot's damping level, and replays. Sample seeds
-                // are a pure function of the iteration index, so the
-                // replay is bit-deterministic.
-                problem.set_theta(&snap.theta);
-                opt = HfOptimizer::resume_with_recorder(hf, snap.lambda, rec.clone());
-                stop = StopState::new(rule);
-                stats.truncate(snap.iter);
-                // Re-feed the surviving history so patience/target
-                // stopping sees the same sequence an undisturbed run
-                // would have.
-                for s in &stats {
-                    let _ = stop.observe(s.heldout_before, s.heldout_after);
-                }
-                iter = snap.iter;
-                recoveries += 1;
-                rec.counter_add("recoveries", 1);
-                rec.event(
-                    "recovery_complete",
-                    vec![("resume_iter".into(), (iter as u64).into())],
-                );
-            }
-            Some(fault) => return (Err(fault_error(fault)), recoveries),
-        }
-    }
-    (Ok(stats), recoveries)
-}
-
-/// What each masterless rank returns from its world closure: the
-/// optimizer outcome, the final flat θ (for the replica-agreement
-/// check at collection time), and this rank's view of the fault
-/// history.
-struct DecentralOut {
-    result: Result<Vec<IterStats>, Error>,
-    theta: Vec<f32>,
-    dead_ranks: Vec<usize>,
-    recoveries: usize,
-}
-
-/// Masterless training: `config.workers` peer ranks, each running a
-/// replicated optimizer over symmetric allreduces. See
-/// [`SyncStrategy`].
-fn train_decentral_impl(
-    net0: &Network<f32>,
-    corpus: &Corpus,
-    objective: &Objective,
-    config: &DistributedConfig,
-    mode: WorldMode,
-) -> Result<TrainOutput, Error> {
-    assert!(config.workers >= 1, "need at least one worker");
-    config.hf.validate();
-
-    let (train_ids, held_ids) = corpus.split_heldout(config.heldout_frac);
-    let train_lens: Vec<usize> = train_ids
-        .iter()
-        .map(|&i| corpus.utterances()[i].frames())
-        .collect();
-    let train_assign = partition(&train_lens, config.workers, config.strategy);
-    let held_lens: Vec<usize> = held_ids
-        .iter()
-        .map(|&i| corpus.utterances()[i].frames())
-        .collect();
-    let held_assign = partition(&held_lens, config.workers, config.strategy);
-    // Corpus-id shards per rank; every rank derives its own from the
-    // shared deterministic partition — nothing is shipped point-to-point.
-    // Kept as u64 ids so the replicated ledger matches the recovery
-    // wire format (`TAG_LOAD_DATA`) and the master-mode ledger.
-    let assigned_train: Vec<Vec<u64>> = train_assign
-        .iter()
-        .map(|part| part.iter().map(|&pos| train_ids[pos] as u64).collect())
-        .collect();
-    let assigned_held: Vec<Vec<u64>> = held_assign
-        .iter()
-        .map(|part| part.iter().map(|&pos| held_ids[pos] as u64).collect())
-        .collect();
-    let utt_frames: Vec<usize> = corpus.utterances().iter().map(|u| u.frames()).collect();
-
-    let theta0 = net0.to_flat();
-    let total_train_frames: u64 = train_lens.iter().map(|&l| l as u64).sum();
-
-    let world = config.workers;
-    let faulted = matches!(mode, WorldMode::Faulted(_));
-    let recover_timeout = match &mode {
-        WorldMode::Faulted(plan) => plan.worker_timeout,
-        _ => Duration::from_secs(60),
-    };
-    let body = |comm: &mut Comm| {
-        comm.set_wire_codec(config.wire_codec);
-        let rank = comm.rank();
-        let rec = comm.recorder().clone();
-        let ctx = if config.threads_per_rank > 1 {
-            GemmContext::threaded(config.threads_per_rank)
-        } else {
-            GemmContext::sequential()
+    fn try_fisher(&mut self) -> Result<Vec<f32>, TrainFault> {
+        let partial = {
+            let _s = self
+                .rec
+                .span("worker_curvature_product", SpanKind::DenseCompute);
+            self.engine.fisher_diagonal()
         };
-        let mut net = net0.clone();
-        net.set_flat(&theta0);
-        let scratch = net.clone();
-        let my_train: Vec<usize> = assigned_train[rank].iter().map(|&id| id as usize).collect();
-        let my_held: Vec<usize> = assigned_held[rank].iter().map(|&id| id as usize).collect();
-        let mut problem = DecentralProblem {
-            comm,
-            rec: rec.clone(),
-            sync: config.sync,
-            theta: theta0.clone(),
-            net,
-            scratch,
-            train: corpus.shard(&my_train),
-            heldout: corpus.shard(&my_held),
-            objective,
-            ctx,
-            ws: Workspace::new(),
-            packs: None,
-            sample: None,
-            sample_frames: None,
-            train_frames: total_train_frames,
-            corpus,
-            train_ids: assigned_train.clone(),
-            held_ids: assigned_held.clone(),
-            utt_frames: utt_frames.clone(),
-            strategy: config.strategy,
-            fault: None,
-            strict: !faulted,
+        self.curvature_mean(partial, "fisher")
+    }
+
+    fn try_heldout(&mut self, theta: &[f32]) -> Result<HeldoutEval, TrainFault> {
+        let rec = self.rec.clone();
+        let (loss_sum, correct, frames) = {
+            let _s = rec.span("eval_heldout", SpanKind::DenseCompute);
+            self.engine.heldout(theta)
         };
-        let (result, recoveries) = decentral_loop(&mut problem, config, &rec, recover_timeout);
-        let theta = problem.theta();
-        // Quiescence barrier closing the protocol, as in Master mode.
-        // A rank dying between the last collective and the barrier is
-        // tolerated — the survivors already hold the final θ.
-        let barrier = problem.comm.barrier();
-        let result = result.and_then(|stats| match barrier {
-            Ok(()) | Err(CommError::RankDead { .. }) => Ok(stats),
-            Err(e) => Err(Error::Comm(e.to_string())),
-        });
-        if faulted {
-            if let Err(e) = &result {
-                rec.event(
-                    "worker_comm_abort",
-                    vec![("error".into(), e.to_string().into())],
-                );
-            }
-        }
-        let dead_ranks = problem.comm.dead_ranks().to_vec();
-        DecentralOut {
-            result,
-            theta,
-            dead_ranks,
-            recoveries,
-        }
-    };
-    let outcomes: Vec<RankOutcome<DecentralOut>> = match &mode {
-        WorldMode::Normal => pdnn_mpisim::run_world(world, body),
-        WorldMode::Deterministic => pdnn_mpisim::run_world_deterministic(world, body),
-        WorldMode::Perturbed(seed) => pdnn_mpisim::run_world_perturbed(world, *seed, body),
-        WorldMode::Faulted(plan) => pdnn_mpisim::run_world_faulted(world, plan, body),
-    };
-    let schedule_seed = match &mode {
-        WorldMode::Perturbed(seed) => Some(*seed),
-        _ => None,
-    };
-
-    let mut network = net0.clone();
-    let mut master_trace = CommTrace::default();
-    let mut master_telemetry = Telemetry::default();
-    let mut master_events = Vec::new();
-    let mut worker_traces = Vec::new();
-    let mut worker_telemetries = Vec::new();
-    let mut worker_events = Vec::new();
-    let mut hb_violations = Vec::new();
-    let mut rank_outs: Vec<(usize, DecentralOut)> = Vec::with_capacity(outcomes.len());
-    for mut outcome in outcomes {
-        outcome.telemetry.schedule_seed = schedule_seed;
-        hb_violations.extend(outcome.hb.into_iter().map(|v| (outcome.rank, v)));
-        if outcome.rank == 0 {
-            master_trace = outcome.trace;
-            master_telemetry = outcome.telemetry;
-            master_events = outcome.events;
-        } else {
-            worker_traces.push(outcome.trace);
-            worker_telemetries.push(outcome.telemetry);
-            worker_events.push(outcome.events);
-        }
-        rank_outs.push((outcome.rank, outcome.result));
+        let mut meta = [loss_sum, correct as f64, frames as f64];
+        let _span = rec.span("heldout_allreduce", SpanKind::CommCollective);
+        self.sync(&mut meta).map_err(TrainFault::Comm)?;
+        heldout_reduced(&meta)
     }
-    rank_outs.sort_by_key(|(rank, _)| *rank);
-    // The reference replica is the lowest rank that finished cleanly
-    // (a kill victim exits early with an error and carries stale θ).
-    // Every other clean rank must match it bitwise — any drift is a
-    // determinism bug in the allreduce or recovery layer.
-    let reference = rank_outs
-        .iter()
-        .position(|(_, o)| o.result.is_ok())
-        .unwrap_or(0);
-    let ref_rank = rank_outs[reference].0;
-    for (rank, out) in &rank_outs {
-        if *rank == ref_rank || out.result.is_err() {
-            continue;
-        }
-        if out.theta != rank_outs[reference].1.theta {
-            return Err(Error::Train(format!(
-                "replicated optimizers diverged: rank {rank} θ differs from rank {ref_rank}"
-            )));
-        }
-    }
-    let (
-        _,
-        DecentralOut {
-            result,
-            theta,
-            dead_ranks,
-            recoveries,
-        },
-    ) = rank_outs.swap_remove(reference);
-    let stats = result?;
-    network.set_flat(&theta);
 
-    let master_phases = master_telemetry.phase_totals();
-    let worker_phases = worker_telemetries
-        .iter()
-        .map(Telemetry::phase_totals)
-        .collect();
-    Ok(TrainOutput {
-        network,
-        stats,
-        master_trace,
-        worker_traces,
-        master_phases,
-        worker_phases,
-        master_telemetry,
-        worker_telemetries,
-        hb_violations,
-        schedule_seed,
-        dead_ranks,
-        recoveries,
-        master_events,
-        worker_events,
-    })
+    /// Agree on the survivors, re-shard, and rewind to the in-memory
+    /// snapshot: every rank restores its own replica of θ, so there is
+    /// no checkpoint file to race on and nothing to ship.
+    fn recover(&mut self, _rank: usize, snap: &Snapshot) -> Result<Vec<f32>, Error> {
+        self.reshard_survivors().map_err(fault_error)?;
+        self.rec
+            .gauge_set("dead_workers", self.comm.dead_ranks().len() as f64);
+        Ok(snap.theta.clone())
+    }
 }
 
-/// θ snapshot a rank can rewind to after a worker failure — the
+/// θ snapshot a rank can rewind to after a rank failure — the
 /// master's checkpoint-restart anchor, or every masterless replica's
 /// in-memory rewind point.
 struct Snapshot {
@@ -1748,44 +1105,34 @@ struct Snapshot {
     lambda: f64,
 }
 
-fn write_checkpoint(
-    config: &DistributedConfig,
-    net0: &Network<f32>,
-    snap: &Snapshot,
-) -> Result<(), Error> {
-    let Some(path) = &config.checkpoint_path else {
-        return Ok(());
-    };
-    let mut net = net0.clone();
-    net.set_flat(&snap.theta);
-    pdnn_dnn::checkpoint::save_network(&net, path)
-}
-
-fn restore_theta(config: &DistributedConfig, snap: &Snapshot) -> Result<Vec<f32>, Error> {
-    match &config.checkpoint_path {
-        Some(path) => Ok(pdnn_dnn::checkpoint::load_network(path)?.to_flat()),
-        None => Ok(snap.theta.clone()),
-    }
-}
-
-/// The master's outer training loop with checkpoint-restart recovery.
+/// The outer training loop of every rank that runs the optimizer:
+/// master mode's rank 0 and every masterless peer.
 ///
 /// Drives the identical [`HfOptimizer::step`] sequence as
 /// [`HfOptimizer::train`]; a run that observes no fault is op-for-op
-/// (and telemetry-byte-for-byte) identical to it. When a step
-/// surfaces a dead worker, the master acknowledges the death,
-/// re-partitions the lost shard onto the survivors, restores θ from
-/// the last snapshot, rebuilds the optimizer at the snapshot's damping
-/// level, and replays from the snapshot iteration. Sample seeds are a
-/// pure function of the iteration index, so the replay is
-/// bit-deterministic.
-fn hf_loop(
-    problem: &mut MasterProblem<'_>,
+/// (and telemetry-byte-for-byte) identical to it. θ is snapshotted
+/// every `checkpoint_every` iterations, and also saved to disk when
+/// `checkpoint` names a path and the network shape. When a step
+/// surfaces a dead rank, the mode's recovery step runs, θ rewinds to
+/// the last snapshot, the optimizer is rebuilt at the snapshot's
+/// damping level, and training replays from the snapshot iteration.
+/// Sample seeds are a pure function of the iteration index, so the
+/// replay is bit-deterministic.
+fn train_loop<A: Aggregator>(
+    problem: &mut Latched<A>,
     config: &DistributedConfig,
-    net0: &Network<f32>,
-    rec: &Arc<InMemoryRecorder>,
+    checkpoint: Option<(&Path, &Network<f32>)>,
 ) -> (Result<Vec<IterStats>, Error>, usize) {
     let hf = config.hf;
+    let rec = problem.rec.clone();
+    let save = |snap: &Snapshot| match checkpoint {
+        Some((path, net0)) => {
+            let mut net = net0.clone();
+            net.set_flat(&snap.theta);
+            pdnn_dnn::checkpoint::save_network(&net, path)
+        }
+        None => Ok(()),
+    };
     let mut opt = HfOptimizer::with_recorder(hf, rec.clone());
     let mut rule = hf.stop;
     if rule.target_loss.is_none() {
@@ -1798,14 +1145,14 @@ fn hf_loop(
         theta: problem.theta(),
         lambda: opt.lambda(),
     };
-    if let Err(e) = write_checkpoint(config, net0, &snap) {
+    if let Err(e) = save(&snap) {
         return (Err(e), 0);
     }
     let mut recoveries = 0usize;
     let mut iter = 0usize;
     while iter < hf.max_iters {
         let s = opt.step(problem, iter);
-        match problem.take_fault() {
+        match problem.fault.take() {
             None => {
                 let reason = stop.observe(s.heldout_before, s.heldout_after);
                 stats.push(s);
@@ -1816,7 +1163,7 @@ fn hf_loop(
                         theta: problem.theta(),
                         lambda: opt.lambda(),
                     };
-                    if let Err(e) = write_checkpoint(config, net0, &snap) {
+                    if let Err(e) = save(&snap) {
                         return (Err(e), recoveries);
                     }
                 }
@@ -1833,22 +1180,13 @@ fn hf_loop(
                         ("iter".into(), (iter as u64).into()),
                     ],
                 );
-                problem.comm.ack_dead(rank);
-                let dead = problem.comm.dead_ranks().len();
-                rec.gauge_set("dead_workers", dead as f64);
-                if dead >= config.workers {
-                    return (Err(Error::Train("no surviving workers".into())), recoveries);
-                }
-                if let Err(f) = problem.try_redistribute(rank - 1) {
-                    return (Err(fault_error(f)), recoveries);
-                }
-                let theta = match restore_theta(config, &snap) {
-                    Ok(t) => t,
+                let theta = match problem.agg.recover(rank, &snap) {
+                    Ok(theta) => theta,
                     Err(e) => return (Err(e), recoveries),
                 };
-                // Replay θ to the survivors. If a further rank dies
-                // during the replay, the problem re-poisons and the
-                // next loop iteration recovers again.
+                // Replay θ. If a further rank dies during the replay,
+                // the problem re-poisons and the next loop iteration
+                // recovers again.
                 problem.set_theta(&theta);
                 opt = HfOptimizer::resume_with_recorder(hf, snap.lambda, rec.clone());
                 stop = StopState::new(rule);
@@ -1871,6 +1209,19 @@ fn hf_loop(
         }
     }
     (Ok(stats), recoveries)
+}
+
+/// Close a rank's training: a death first discovered at the closing
+/// collectives still reports `RankDead`, which is tolerable at
+/// teardown — training already finished.
+fn finish(
+    result: Result<Vec<IterStats>, Error>,
+    closing: Result<(), CommError>,
+) -> Result<Vec<IterStats>, Error> {
+    result.and_then(|stats| match closing {
+        Ok(()) | Err(CommError::RankDead { .. }) => Ok(stats),
+        Err(e) => Err(Error::Comm(e.to_string())),
+    })
 }
 
 /// Train a network with distributed Hessian-free optimization.
@@ -1961,8 +1312,10 @@ enum WorldMode {
     Faulted(FaultPlan),
 }
 
-/// What the master rank hands back through the world runner.
-struct MasterOut {
+/// What a rank that ran the optimizer hands back through the world
+/// runner: the outcome, its final θ (for the replica-agreement check),
+/// and its view of the fault history.
+struct RankOut {
     result: Result<Vec<IterStats>, Error>,
     theta: Vec<f32>,
     dead_ranks: Vec<usize>,
@@ -1976,60 +1329,72 @@ fn train_impl(
     config: &DistributedConfig,
     mode: WorldMode,
 ) -> Result<TrainOutput, Error> {
-    if config.sync != SyncStrategy::Master {
-        return train_decentral_impl(net0, corpus, objective, config, mode);
-    }
     assert!(config.workers >= 1, "need at least one worker");
     config.hf.validate();
 
-    let (train_ids, held_ids) = corpus.split_heldout(config.heldout_frac);
-    // Partition by frame counts (the paper's equal-data objective).
-    let train_lens: Vec<usize> = train_ids
-        .iter()
-        .map(|&i| corpus.utterances()[i].frames())
-        .collect();
-    let train_assign = partition(&train_lens, config.workers, config.strategy);
-    let held_lens: Vec<usize> = held_ids
-        .iter()
-        .map(|&i| corpus.utterances()[i].frames())
-        .collect();
-    let held_assign = partition(&held_lens, config.workers, config.strategy);
-
-    // Per-worker corpus-id assignments: the wire format of load_data
-    // and the master's recovery ledger.
-    let assigned_train: Vec<Vec<u64>> = train_assign
-        .iter()
-        .map(|part| part.iter().map(|&pos| train_ids[pos] as u64).collect())
-        .collect();
-    let assigned_held: Vec<Vec<u64>> = held_assign
-        .iter()
-        .map(|part| part.iter().map(|&pos| held_ids[pos] as u64).collect())
-        .collect();
-    let utt_frames: Vec<usize> = corpus.utterances().iter().map(|u| u.frames()).collect();
-
-    let dims = net0.dims();
+    let ledger = Ledger::new(corpus, config);
+    let train_frames = ledger.train_frames();
     let theta0 = net0.to_flat();
-    let total_train_frames: u64 = train_lens.iter().map(|&l| l as u64).sum();
-
-    enum RoleOutput {
-        Master(Box<MasterOut>),
-        Worker,
-    }
-
+    let master = config.sync == SyncStrategy::Master;
     let faulted = matches!(mode, WorldMode::Faulted(_));
-    let world = config.workers + 1;
-    let body = |comm: &mut Comm| {
+    let recover_timeout = match &mode {
+        WorldMode::Faulted(plan) => plan.worker_timeout,
+        _ => Duration::from_secs(60),
+    };
+    let body = |comm: &mut Comm| -> Option<RankOut> {
         comm.set_wire_codec(config.wire_codec);
+        let rec = comm.recorder().clone();
+        if !master {
+            // ---- masterless peer ----
+            // Every rank derives its shard from the shared deterministic
+            // partition — nothing is shipped point-to-point.
+            let (train, heldout) = ledger.shards(corpus, comm.rank());
+            let engine = ShardEngine::new(
+                net0.clone(),
+                rank_ctx(config.threads_per_rank),
+                train,
+                heldout,
+                objective.clone(),
+                rec.clone(),
+            );
+            let peer = DecentralProblem {
+                comm,
+                rec: rec.clone(),
+                sync: config.sync,
+                engine,
+                sample_frames: None,
+                corpus,
+                ledger: ledger.clone(),
+                recover_timeout,
+            };
+            let mut problem =
+                Latched::new(peer, rec.clone(), theta0.clone(), train_frames, !faulted);
+            let (result, recoveries) = train_loop(&mut problem, config, None);
+            // Quiescence barrier closing the protocol, as in Master
+            // mode.
+            let result = finish(result, problem.agg.comm.barrier());
+            if faulted {
+                if let Err(e) = &result {
+                    rec.event(
+                        "worker_comm_abort",
+                        vec![("error".into(), e.to_string().into())],
+                    );
+                }
+            }
+            return Some(RankOut {
+                result,
+                theta: problem.theta,
+                dead_ranks: problem.agg.comm.dead_ranks().to_vec(),
+                recoveries,
+            });
+        }
         if comm.rank() == 0 {
             // ---- master ----
-            let rec = comm.recorder().clone();
             // load_data: ship each worker its utterance id lists.
             let load_span = rec.span("load_data", SpanKind::CommP2p);
             for w in 0..config.workers {
-                let t_ids: Vec<u64> = assigned_train[w].clone();
-                let h_ids: Vec<u64> = assigned_held[w].clone();
-                let s1 = comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(t_ids));
-                let s2 = comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(h_ids));
+                let s1 = comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(ledger.train[w].clone()));
+                let s2 = comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(ledger.held[w].clone()));
                 if let Err(e) = s1.and(s2) {
                     // pdnn-lint: allow(l3-no-unwrap): a start-up send can only fail if a worker vanished before training began; under a fault plan sends never error, so this is a harness bug either way
                     panic!("load_data send to worker {w} failed: {e}");
@@ -2037,48 +1402,43 @@ fn train_impl(
             }
             drop(load_span);
 
-            let mut problem = MasterProblem {
+            let checkpoint = config.checkpoint_path.as_deref();
+            let coordinator = MasterProblem {
                 comm,
-                rec: rec.clone(),
-                theta: theta0.clone(),
-                train_frames: total_train_frames,
-                train_assign: assigned_train.clone(),
-                held_assign: assigned_held.clone(),
-                utt_frames: utt_frames.clone(),
-                strategy: config.strategy,
-                fault: None,
-                strict: !faulted,
+                params: theta0.len(),
+                ledger: ledger.clone(),
+                checkpoint,
             };
+            let mut problem = Latched::new(
+                coordinator,
+                rec.clone(),
+                theta0.clone(),
+                train_frames,
+                !faulted,
+            );
             // Distribute the initial weights.
-            let t0 = problem.theta();
-            problem.set_theta(&t0);
+            problem.set_theta(&theta0);
 
             // The optimizer shares the master rank's recorder, so its
             // spans/events land in the same per-rank telemetry stream.
-            let (result, recoveries) = hf_loop(&mut problem, config, net0, &rec);
-            let theta_final = problem.theta();
-            let shutdown = problem.command(vec![CMD_SHUTDOWN]);
-            // Matching half of the workers' shutdown barrier. A death
-            // first discovered *here* still reports RankDead, which is
-            // tolerable at teardown — training already finished.
-            let barrier = comm.barrier();
-            let result = result.and_then(|stats| match shutdown.and(barrier) {
-                Ok(()) | Err(CommError::RankDead { .. }) => Ok(stats),
-                Err(e) => Err(Error::Comm(e.to_string())),
-            });
-            RoleOutput::Master(Box::new(MasterOut {
-                result,
-                theta: theta_final,
-                dead_ranks: comm.dead_ranks().to_vec(),
+            let (result, recoveries) =
+                train_loop(&mut problem, config, checkpoint.map(|path| (path, net0)));
+            let shutdown = problem.agg.command(vec![CMD_SHUTDOWN]);
+            // Matching half of the workers' shutdown barrier.
+            let barrier = problem.agg.comm.barrier();
+            Some(RankOut {
+                result: finish(result, shutdown.and(barrier)),
+                theta: problem.theta,
+                dead_ranks: problem.agg.comm.dead_ranks().to_vec(),
                 recoveries,
-            }))
+            })
         } else {
             // ---- worker ----
-            if let Err(e) = worker_loop(comm, corpus, objective, &dims, config.threads_per_rank) {
+            if let Err(e) = worker_loop(comm, corpus, objective, net0, config.threads_per_rank) {
                 if faulted {
                     // Expected under a fault plan: this rank was
                     // killed, evicted, or orphaned by a peer's death.
-                    comm.recorder().event(
+                    rec.event(
                         "worker_comm_abort",
                         vec![("error".into(), e.to_string().into())],
                     );
@@ -2087,10 +1447,11 @@ fn train_impl(
                     panic!("worker communication failure: {e}");
                 }
             }
-            RoleOutput::Worker
+            None
         }
     };
-    let outcomes: Vec<RankOutcome<RoleOutput>> = match &mode {
+    let world = config.workers + usize::from(master);
+    let outcomes: Vec<RankOutcome<Option<RankOut>>> = match &mode {
         WorldMode::Normal => pdnn_mpisim::run_world(world, body),
         WorldMode::Deterministic => pdnn_mpisim::run_world_deterministic(world, body),
         WorldMode::Perturbed(seed) => pdnn_mpisim::run_world_perturbed(world, *seed, body),
@@ -2101,37 +1462,55 @@ fn train_impl(
         _ => None,
     };
 
-    let mut network = net0.clone();
-    let mut master_out: Option<MasterOut> = None;
     let mut master_trace = CommTrace::default();
     let mut master_telemetry = Telemetry::default();
+    let mut master_events = Vec::new();
     let mut worker_traces = Vec::new();
     let mut worker_telemetries = Vec::new();
-    let mut hb_violations = Vec::new();
-    let mut master_events = Vec::new();
     let mut worker_events = Vec::new();
+    let mut hb_violations = Vec::new();
+    let mut rank_outs: Vec<(usize, RankOut)> = Vec::with_capacity(outcomes.len());
     for mut outcome in outcomes {
         outcome.telemetry.schedule_seed = schedule_seed;
         hb_violations.extend(outcome.hb.into_iter().map(|v| (outcome.rank, v)));
-        match outcome.result {
-            RoleOutput::Master(boxed) => {
-                master_out = Some(*boxed);
-                master_trace = outcome.trace;
-                master_telemetry = outcome.telemetry;
-                master_events = outcome.events;
-            }
-            RoleOutput::Worker => {
-                worker_traces.push(outcome.trace);
-                worker_telemetries.push(outcome.telemetry);
-                worker_events.push(outcome.events);
-            }
+        if outcome.rank == 0 {
+            master_trace = outcome.trace;
+            master_telemetry = outcome.telemetry;
+            master_events = outcome.events;
+        } else {
+            worker_traces.push(outcome.trace);
+            worker_telemetries.push(outcome.telemetry);
+            worker_events.push(outcome.events);
+        }
+        if let Some(out) = outcome.result {
+            rank_outs.push((outcome.rank, out));
         }
     }
-    let Some(master) = master_out else {
-        return Err(Error::Train("master rank produced no output".into()));
-    };
-    let stats = master.result?;
-    network.set_flat(&master.theta);
+    rank_outs.sort_by_key(|(rank, _)| *rank);
+    if rank_outs.is_empty() {
+        return Err(Error::Train("no rank produced training output".into()));
+    }
+    // The reference replica is the lowest rank that finished cleanly
+    // (a kill victim exits early with an error and carries stale θ);
+    // in master mode that is the master, the only rank reporting.
+    // Every other clean rank must match it bitwise — any drift is a
+    // determinism bug in the allreduce or recovery layer.
+    let reference = rank_outs
+        .iter()
+        .position(|(_, o)| o.result.is_ok())
+        .unwrap_or(0);
+    let ref_rank = rank_outs[reference].0;
+    for (rank, out) in &rank_outs {
+        if *rank != ref_rank && out.result.is_ok() && out.theta != rank_outs[reference].1.theta {
+            return Err(Error::Train(format!(
+                "replicated optimizers diverged: rank {rank} θ differs from rank {ref_rank}"
+            )));
+        }
+    }
+    let (_, out) = rank_outs.swap_remove(reference);
+    let stats = out.result?;
+    let mut network = net0.clone();
+    network.set_flat(&out.theta);
 
     let master_phases = master_telemetry.phase_totals();
     let worker_phases = worker_telemetries
@@ -2149,8 +1528,8 @@ fn train_impl(
         worker_telemetries,
         hb_violations,
         schedule_seed,
-        dead_ranks: master.dead_ranks,
-        recoveries: master.recoveries,
+        dead_ranks: out.dead_ranks,
+        recoveries: out.recoveries,
         master_events,
         worker_events,
     })

@@ -50,6 +50,7 @@ pub mod cg;
 pub mod config;
 pub mod damping;
 pub mod distributed;
+mod engine;
 pub mod line_search;
 pub mod optimizer;
 pub mod problem;

@@ -866,13 +866,14 @@ fn find_or_insert<'m>(model: &'m mut Model, name: &str, anchor: &Site) -> &'m mu
 
 /// Extract master-side command sequences from `MasterProblem`.
 ///
-/// The `HfProblem` impl delegates the wire work to fallible `try_*`
-/// helpers on the inherent impl, so both regions are scanned; the
-/// `command` header helper is modeled separately
+/// The wire work lives in the fallible `try_*` methods of its
+/// `Aggregator` impl (the fault latch wraps them into `HfProblem`) and
+/// in the recovery helpers of the inherent impl, so both regions are
+/// scanned; the `command` header helper is modeled separately
 /// ([`extract_command_helper`]) and skipped here.
 fn extract_master_impl(file: &SourceFile, model: &mut Model) {
     let inherent = block_after(&file.masked, "impl MasterProblem");
-    let trait_impl = block_after(&file.masked, "impl HfProblem for MasterProblem");
+    let trait_impl = block_after(&file.masked, "impl Aggregator for MasterProblem");
     let mut fns = Vec::new();
     for region in [inherent, trait_impl].into_iter().flatten() {
         fns.extend(fns_in(&file.masked, region));
@@ -1230,7 +1231,7 @@ mod tests {
             "const CMD_STOP: u64 = 0;\nconst CMD_GO: u64 = 1;\nconst TAG_D: u64 = 9;\n\
              struct MasterProblem { theta: Vec<f32> }\n\
              impl MasterProblem {\n    fn command(&mut self, header: Vec<u64>) {\n        let mut buf = header;\n        comm_ok(self.comm.bcast(&mut buf, 0), \"hdr\");\n    }\n}\n\
-             impl HfProblem for MasterProblem {\n    fn go(&mut self) {\n        self.command(vec![CMD_GO]);\n        let mut g = vec![0.0f32; self.theta.len()];\n        comm_ok(self.comm.reduce(&mut g, ReduceOp::Sum, 0), \"r\");\n    }\n}\n\
+             impl Aggregator for MasterProblem {\n    fn go(&mut self) {\n        self.command(vec![CMD_GO]);\n        let mut g = vec![0.0f32; self.theta.len()];\n        comm_ok(self.comm.reduce(&mut g, ReduceOp::Sum, 0), \"r\");\n    }\n}\n\
              fn worker_loop(comm: &mut Comm) {\n    let ids = comm.recv_vec::<u64>(Src::Of(0), TAG_D);\n    loop {\n        let mut header = vec![0u64; 1];\n        comm.bcast(&mut header, 0);\n        match header[0] {\n            CMD_STOP => break,\n            CMD_GO => {\n                let mut g = vec![0.0f32; 4];\n                comm.reduce(&mut g, ReduceOp::Sum, 0);\n            }\n            other => panic(),\n        }\n    }\n    comm.barrier();\n}\n\
              fn train_impl() {\n    let body = |comm| {\n        if comm.rank() == 0 {\n            for w in 0..n {\n                comm.send(w + 1, TAG_D, Payload::U64(ids));\n            }\n            problem.command(vec![CMD_STOP]);\n            comm.barrier();\n        }\n    };\n}\n",
         );
