@@ -10,6 +10,17 @@ cargo build --release
 echo "== tier-1: test suite =="
 cargo test -q
 
+echo "== workspace: every member's test suite =="
+# The root `cargo test` runs only the `pdnn` package; this also runs
+# the suites of pdnn-mpisim, pdnn-baselines, pdnn-protomc, pdnn-obs,
+# pdnn-lint and the other members, which clippy only compiles.
+cargo test --workspace --release -q
+
+echo "== benchmark: hfbench tests =="
+# hfbench is its own workspace (the root build does not see it); its
+# tests guard the public API the repository benchmark drives.
+cargo test --release -q --manifest-path hfbench/Cargo.toml
+
 echo "== backends: tier-1 under forced-scalar and auto dispatch =="
 # The ComputeBackend contract: every runtime-dispatched SIMD kernel is
 # bit-identical to the forced-scalar reference, so the whole suite
