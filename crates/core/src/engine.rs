@@ -24,7 +24,7 @@ use pdnn_dnn::gauss_newton::{gn_product_ws, Curvature};
 use pdnn_dnn::loss::{cross_entropy, cross_entropy_loss_only, softmax_rows};
 use pdnn_dnn::network::{ForwardCache, Network};
 use pdnn_dnn::packed::{PackedActivations, PackedWeights};
-use pdnn_dnn::sequence::mmi_batch;
+use pdnn_dnn::sequence::{mmi_batch, mmi_loss_only};
 use pdnn_obs::Recorder;
 use pdnn_speech::Shard;
 use pdnn_tensor::gemm::GemmContext;
@@ -78,14 +78,14 @@ impl Objective {
         match self {
             Objective::CrossEntropy => cross_entropy_loss_only(logits, labels),
             Objective::Sequence(graph) => {
-                let out = mmi_batch(logits, labels, utt_lens, graph);
+                let loss = mmi_loss_only(logits, labels, utt_lens, graph);
                 let correct = logits
                     .row_argmax()
                     .iter()
                     .zip(labels)
                     .filter(|(&p, &l)| p as u32 == l)
                     .count();
-                (out.loss, correct)
+                (loss, correct)
             }
         }
     }

@@ -8,7 +8,7 @@
 //! temporal smoothing that per-frame argmax cannot exploit — the same
 //! relationship WER has to frame accuracy in a real system.
 
-use crate::sequence::DenominatorGraph;
+use crate::sequence::{log_softmax_row, DenominatorGraph};
 use pdnn_tensor::{Matrix, Scalar};
 
 /// Most probable state path given frame logits and a transition
@@ -25,26 +25,14 @@ pub fn viterbi_decode<T: Scalar>(logits: &Matrix<T>, graph: &DenominatorGraph) -
         return Vec::new();
     }
 
-    // Log-softmax rows in f64.
-    let lp = |t: usize, j: usize| -> f64 {
-        let row = logits.row(t);
-        let mut max = row[0].to_f64();
-        for &v in row.iter() {
-            max = max.max(v.to_f64());
-        }
-        let lse: f64 = row
-            .iter()
-            .map(|&v| (v.to_f64() - max).exp())
-            .sum::<f64>()
-            .ln()
-            + max;
-        row[j].to_f64() - lse
-    };
-
-    let mut delta: Vec<f64> = (0..s).map(|j| graph.log_prior(j) + lp(0, j)).collect();
+    // Acoustic scores of the current frame, one log-softmax per row.
+    let mut lp = vec![0.0f64; s];
+    log_softmax_row(logits.row(0), &mut lp);
+    let mut delta: Vec<f64> = (0..s).map(|j| graph.log_prior(j) + lp[j]).collect();
     let mut backptr = vec![0u32; frames * s];
     let mut next = vec![0.0f64; s];
     for t in 1..frames {
+        log_softmax_row(logits.row(t), &mut lp);
         for j in 0..s {
             let mut best_i = 0usize;
             let mut best = f64::NEG_INFINITY;
@@ -55,7 +43,7 @@ pub fn viterbi_decode<T: Scalar>(logits: &Matrix<T>, graph: &DenominatorGraph) -
                     best_i = i;
                 }
             }
-            next[j] = best + lp(t, j);
+            next[j] = best + lp[j];
             backptr[t * s + j] = best_i as u32;
         }
         delta.copy_from_slice(&next);

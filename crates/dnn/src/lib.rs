@@ -44,4 +44,4 @@ pub use gauss_newton::{gn_product, gn_product_ws, Curvature};
 pub use loss::{cross_entropy, softmax_rows, FrameLoss, LossOutput};
 pub use network::{ForwardCache, Layer, Network};
 pub use packed::{PackedActivations, PackedWeights};
-pub use sequence::{mmi_batch, mmi_utterance, DenominatorGraph, SequenceLossOutput};
+pub use sequence::{mmi_batch, mmi_loss_only, mmi_utterance, DenominatorGraph, SequenceLossOutput};

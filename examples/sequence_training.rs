@@ -12,7 +12,7 @@
 //! ```
 
 use pdnn::core::{DnnProblem, HfConfig, HfOptimizer, Objective};
-use pdnn::dnn::{mmi_batch, state_error_rate, viterbi_decode_batch, Activation, Network};
+use pdnn::dnn::{mmi_loss_only, state_error_rate, viterbi_decode_batch, Activation, Network};
 use pdnn::speech::{Corpus, CorpusSpec};
 use pdnn::tensor::GemmContext;
 use pdnn::util::Prng;
@@ -21,13 +21,13 @@ fn mmi_loss_of(net: &Network<f32>, corpus: &Corpus, ids: &[usize]) -> f64 {
     let shard = corpus.shard(ids);
     let ctx = GemmContext::sequential();
     let logits = net.logits(&ctx, &shard.x);
-    let out = mmi_batch(
+    let loss = mmi_loss_only(
         &logits,
         &shard.labels,
         &shard.utt_lens,
         &corpus.denominator_graph(),
     );
-    out.loss / shard.frames() as f64
+    loss / shard.frames() as f64
 }
 
 /// State error rate of the Viterbi decode — the synthetic task's
