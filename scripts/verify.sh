@@ -21,6 +21,14 @@ echo "== benchmark: hfbench tests =="
 # tests guard the public API the repository benchmark drives.
 cargo test --release -q --manifest-path hfbench/Cargo.toml
 
+echo "== sequence objective: MMI examples =="
+# Both examples assert their own outcomes: sequence training must not
+# raise the held-out MMI loss of the CE-trained net, and the sequence
+# stage of the pretrain -> CE -> sequence pipeline must not raise the
+# Viterbi state error rate by more than 0.02.
+cargo run -q --release --example sequence_training
+cargo run -q --release --example pretraining_pipeline
+
 echo "== backends: tier-1 under forced-scalar and auto dispatch =="
 # The ComputeBackend contract: every runtime-dispatched SIMD kernel is
 # bit-identical to the forced-scalar reference, so the whole suite
